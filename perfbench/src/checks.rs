@@ -69,8 +69,9 @@ pub fn energy_reply(joules: f64, time_s: f64, power_w: f64, sim_time_s: f64) -> 
 }
 
 /// A Pareto reply: points on the grid at the simulator's runtimes, in
-/// runtime order, and none dominated by a strictly faster point.
-/// Points that share a runtime are left to [`pareto_ties`].
+/// ascending runtime order, and mutually non-dominated: no point is at
+/// least as fast and at most as costly as another and strictly better
+/// in one of the two.
 pub fn pareto_reply(
     points: &[ParetoPoint],
     sim_time_s: impl Fn(FreqConfig) -> Option<f64>,
@@ -103,27 +104,61 @@ pub fn pareto_reply(
     }
     for (i, a) in points.iter().enumerate() {
         for b in &points[i + 1..] {
-            if a.time_s < b.time_s && a.energy_j() <= b.energy_j() {
-                return Err(format!(
-                    "Pareto point {} is dominated by {}",
-                    b.config, a.config
-                ));
+            for (x, y) in [(a, b), (b, a)] {
+                if dominates(x, y) {
+                    return Err(format!(
+                        "Pareto point {} ({} s, {} J) is dominated by {} ({} s, {} J)",
+                        y.config,
+                        y.time_s,
+                        y.energy_j(),
+                        x.config,
+                        x.time_s,
+                        x.energy_j()
+                    ));
+                }
             }
         }
     }
     Ok(())
 }
 
-/// Pareto points strictly ascend in runtime: of two points that share a
-/// runtime, the one with more energy is dominated by the other.
-pub fn pareto_ties(points: &[ParetoPoint]) -> Check {
-    match points.windows(2).find(|w| w[0].time_s == w[1].time_s) {
-        Some(w) => Err(format!(
-            "Pareto points {} and {} share runtime {} s; the one with more energy is dominated",
-            w[0].config, w[1].config, w[0].time_s
-        )),
-        None => Ok(()),
-    }
+fn dominates(x: &ParetoPoint, y: &ParetoPoint) -> bool {
+    x.time_s <= y.time_s
+        && x.energy_j() <= y.energy_j()
+        && (x.time_s < y.time_s || x.energy_j() < y.energy_j())
+}
+
+/// Points of a Pareto reply dominated by a point of the same runtime:
+/// the defect of `gpm_dvfs::pareto_frontier`, which keeps every point of
+/// a runtime tie whose energy improves on the points before it.
+pub fn tie_dominated(points: &[ParetoPoint]) -> usize {
+    points
+        .iter()
+        .filter(|p| {
+            points
+                .iter()
+                .any(|q| q.time_s == p.time_s && q.energy_j() < p.energy_j())
+        })
+        .count()
+}
+
+/// Whether a reply that [`pareto_reply`] rejects has that defect and no
+/// other: it holds tie-dominated points, and once they are dropped the
+/// rest passes every check.
+pub fn only_runtime_ties(
+    points: &[ParetoPoint],
+    sim_time_s: impl Fn(FreqConfig) -> Option<f64>,
+) -> bool {
+    let kept: Vec<ParetoPoint> = points
+        .iter()
+        .filter(|p| {
+            !points
+                .iter()
+                .any(|q| q.time_s == p.time_s && q.energy_j() < p.energy_j())
+        })
+        .copied()
+        .collect();
+    kept.len() < points.len() && pareto_reply(&kept, sim_time_s).is_ok()
 }
 
 /// A BestConfig reply: a grid configuration whose `time_s` is the
@@ -333,7 +368,6 @@ mod tests {
             point(595, 1.5, 60.0),
         ];
         assert_eq!(pareto_reply(&good, on_grid), Ok(()));
-        assert_eq!(pareto_ties(&good), Ok(()));
         // 975 MHz: slower and more energy (1.2 x 90 > 1.0 x 100) than 1164.
         let dominated = [point(1164, 1.0, 100.0), point(975, 1.2, 90.0)];
         assert!(pareto_reply(&dominated, on_grid).is_err());
@@ -348,10 +382,40 @@ mod tests {
             "runtime must match"
         );
         assert!(pareto_reply(&[], on_grid).is_err());
+        assert_eq!(tie_dominated(&good), 0);
+    }
+
+    #[test]
+    fn pareto_check_rejects_a_point_dominated_by_a_tie() {
+        let same = |_: FreqConfig| Some(1.0);
         // Same runtime, less energy: the first point is dominated.
         let tied = [point(1164, 1.0, 100.0), point(975, 1.0, 90.0)];
-        assert_eq!(pareto_reply(&tied, |_| Some(1.0)), Ok(()));
-        assert!(pareto_ties(&tied).is_err());
+        assert!(pareto_reply(&tied, same).is_err());
+        assert_eq!(tie_dominated(&tied), 1);
+        assert!(only_runtime_ties(&tied, same));
+
+        // A tie plus a point dominated by a strictly faster one is more
+        // than the known defect.
+        let times = |c: FreqConfig| {
+            Some(if c.core.as_f64() as u32 == 595 {
+                1.5
+            } else {
+                1.0
+            })
+        };
+        let worse = [
+            point(1164, 1.0, 100.0),
+            point(975, 1.0, 90.0),
+            point(595, 1.5, 70.0),
+        ];
+        assert!(pareto_reply(&worse, times).is_err());
+        assert!(!only_runtime_ties(&worse, times));
+        // A clean reply does not carry the defect.
+        let clean = [point(975, 1.0, 90.0), point(595, 1.5, 50.0)];
+        assert_eq!(pareto_reply(&clean, times), Ok(()));
+        assert!(!only_runtime_ties(&clean, times));
+        // Tied points at the wrong runtime are not excused.
+        assert!(!only_runtime_ties(&tied, |_| Some(1.1)));
     }
 
     #[test]

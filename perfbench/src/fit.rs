@@ -11,7 +11,7 @@
 
 use crate::checks;
 use crate::trace::Tracer;
-use crate::util::{median, quantile, secs, Digest, Rng};
+use crate::util::{median, quantile, secs, Clock, Digest, Rng};
 use crate::{Args, Outcome};
 use gpm_core::{Estimator, FitReport, PowerModel, TrainingSet, Utilizations};
 use gpm_profiler::Profiler;
@@ -36,7 +36,23 @@ pub const GPUS: [PaperGpu; 3] = [
 pub const REPEATS: u32 = 10;
 
 /// Set-ups timed for the `setup_s` median.
-const SETUPS: usize = 3;
+const SETUPS: usize = 5;
+
+/// The per-layer metrics this workload measures.
+pub const LAYERS: &[&str] = &[
+    "profiler.campaign_s",
+    "profiler.measurements_per_s",
+    "core.fit_s",
+    "core.coefficient_step_s",
+    "core.voltage_step_s",
+    "core.iterations",
+    "core.truth_mape_pct.tesla-k40c",
+    "core.truth_mape_pct.gtx-titan-x",
+    "core.truth_mape_pct.titan-xp",
+    "par.fit_speedup_2w",
+    "serve.registry.publish_ms",
+    "serve.registry.load_ms",
+];
 
 /// The inputs of one GPU's pipeline.
 struct Inputs {
@@ -217,8 +233,9 @@ pub fn run(args: &Args, tracer: &Tracer, scratch: &Path) -> Outcome {
     let setup_seed = Rng::derive(args.seed, 0x5E7).next_u64();
     let quiet = Tracer::new(false);
     let mut setups = Vec::with_capacity(SETUPS);
+    let mut setups_cpu = Vec::with_capacity(SETUPS);
     for i in 0..SETUPS {
-        let t = Instant::now();
+        let t = Clock::start();
         let mut inp = inputs(setup_seed)
             .into_iter()
             .find(|inp| inp.slug == "gtx-titan-x")
@@ -226,14 +243,16 @@ pub fn run(args: &Args, tracer: &Tracer, scratch: &Path) -> Outcome {
         let result = ModelRegistry::open(scratch.join(format!("setup-{i}")))
             .map_err(|e| e.to_string())
             .and_then(|registry| pipeline(&mut inp, &registry, &quiet));
-        setups.push(secs(t));
+        setups.push(t.wall_s());
+        setups_cpu.push(t.cpu_s());
         if let Err(e) = result {
-            out.notes.push(format!("set-up {i} failed: {e}"));
+            out.check("setup", Err(format!("set-up {i}: {e}")));
         }
     }
-    out.set("setup_s", median(&setups));
+    out.set("setup_s", median(&setups_cpu));
 
     let mut rounds = Vec::new();
+    let mut rounds_cpu = Vec::new();
     let mut mape: Vec<Vec<f64>> = vec![Vec::new(); GPUS.len()];
     let mut last_titan_x: Option<TrainingSet> = None;
     let start = Instant::now();
@@ -245,21 +264,24 @@ pub fn run(args: &Args, tracer: &Tracer, scratch: &Path) -> Outcome {
             Ok(r) => r,
             Err(e) => {
                 out.attempted += GPUS.len() as u64;
-                out.failed += GPUS.len() as u64;
-                out.notes.push(format!("round {round}: registry: {e}"));
+                for _ in GPUS {
+                    out.fail("pipeline", format!("round {round}: registry: {e}"));
+                }
                 round += 1;
                 continue;
             }
         };
         let mut digest = Digest::new();
         let mut round_s = 0.0;
+        let mut round_cpu = 0.0;
         let mut all_ok = true;
         let round_span = tracer.span("round");
         for (i, inp) in inps.iter_mut().enumerate() {
             out.attempted += 1;
-            let t = Instant::now();
+            let t = Clock::start();
             let result = pipeline(inp, &registry, tracer);
-            round_s += secs(t);
+            round_s += t.wall_s();
+            round_cpu += t.cpu_s();
             match result {
                 Ok(fitted) => {
                     match fitted.model.to_json() {
@@ -275,14 +297,14 @@ pub fn run(args: &Args, tracer: &Tracer, scratch: &Path) -> Outcome {
                 }
                 Err(e) => {
                     all_ok = false;
-                    out.failed += 1;
-                    out.notes.push(format!("round {round} {}: {e}", inp.slug));
+                    out.fail("pipeline", format!("round {round} {}: {e}", inp.slug));
                 }
             }
         }
         drop(round_span);
         if all_ok {
             rounds.push(round_s);
+            rounds_cpu.push(round_cpu);
         }
         out.digests
             .push((format!("fit round {round} models"), digest.hex()));
@@ -290,9 +312,14 @@ pub fn run(args: &Args, tracer: &Tracer, scratch: &Path) -> Outcome {
         round += 1;
     }
     let p50 = median(&rounds);
-    out.set("p50_ms", p50 * 1e3);
-    out.set("p90_ms", quantile(&rounds, 0.9) * 1e3);
-    out.set("ops_per_s", 1.0 / p50);
+    out.set("op_cpu_ms", median(&rounds_cpu) * 1e3);
+    out.notes.push(format!(
+        "wall: set-up {:.3} s, round p50 {:.1} ms p90 {:.1} ms, {:.3} rounds/s",
+        median(&setups),
+        p50 * 1e3,
+        quantile(&rounds, 0.9) * 1e3,
+        1.0 / p50
+    ));
     out.notes.push(format!(
         "fit: {} rounds of {} GPUs, round median {:.3} s, held-out truth error median {}",
         rounds.len(),

@@ -29,17 +29,15 @@ use std::time::Instant;
 pub const WORKERS: usize = 2;
 
 /// Every end-to-end metric, printed by every workload with `--trace 0`.
-pub const END_TO_END: [(&str, &str); 5] = [
-    ("setup_s", "s"),
-    ("p50_ms", "ms"),
-    ("p90_ms", "ms"),
-    ("ops_per_s", "1/s"),
-    ("peak_rss_mb", "MB"),
-];
+/// Times are CPU time, which leaves out what the host steals; each
+/// workload prints its wall-clock figures beside them (`wall:`).
+pub const END_TO_END: [(&str, &str); 3] =
+    [("setup_s", "s"), ("op_cpu_ms", "ms"), ("peak_rss_mb", "MB")];
 
 /// Every per-layer metric, printed by every workload with `--trace 1`.
-/// A layer that does no work in a workload reads 0 there.
-pub const PER_LAYER: [(&str, &str); 27] = [
+/// A workload measures those in its own `LAYERS`; a layer that does no
+/// work in a workload reads 0 there.
+pub const PER_LAYER: [(&str, &str); 28] = [
     ("profiler.campaign_s", "s"),
     ("profiler.measurements_per_s", "1/s"),
     ("core.fit_s", "s"),
@@ -62,6 +60,7 @@ pub const PER_LAYER: [(&str, &str); 27] = [
     ("serve.wire_us_per_req", "us"),
     ("serve.batch_mean", "count"),
     ("dvfs.governor_profiled", "count"),
+    ("dvfs.pareto_dominated_points", "count"),
     ("fleet.class_fits_s", "s"),
     ("fleet.node_prepare_ms", "ms"),
     ("fleet.governor_steps_per_epoch", "count"),
@@ -72,11 +71,15 @@ pub const PER_LAYER: [(&str, &str); 27] = [
 /// What one run of a workload measured and found.
 #[derive(Debug, Default)]
 pub struct Outcome {
-    /// Operations attempted (whole rounds, requests, capped campaigns).
+    /// Operations attempted (GPU pipelines, requests, capped campaigns).
     pub attempted: u64,
-    /// Operations that returned an error.
+    /// Operations that failed. One fault of the program fails an
+    /// operation on every run and every seed, and is counted here alone:
+    /// a `serve` Pareto reply with points dominated by a point of the
+    /// same runtime. Any other failure is a violation as well.
     pub failed: u64,
-    /// Check failures on operations that did not fail.
+    /// Check failures, and failures of operations the benchmark expects
+    /// to succeed.
     pub violations: Vec<String>,
     /// Names of the checks that ran, for the report.
     pub checks: Vec<&'static str>,
@@ -108,11 +111,19 @@ impl Outcome {
         self.values.push((name, value));
     }
 
+    /// A failed operation that should have succeeded: counted and
+    /// reported as a violation.
+    pub fn fail(&mut self, name: &'static str, why: String) {
+        self.failed += 1;
+        self.check(name, Err(why));
+    }
+
+    /// The value of a metric; `NaN` for one that was never measured.
     fn value(&self, name: &str) -> f64 {
         self.values
             .iter()
             .find(|(n, _)| *n == name)
-            .map_or(0.0, |&(_, v)| v)
+            .map_or(f64::NAN, |&(_, v)| v)
     }
 }
 
@@ -228,12 +239,19 @@ fn main() -> ExitCode {
     let started = Instant::now();
     let (steal0, total0) = (util::steal_ticks(), util::total_ticks());
 
-    let mut out = match args.workload.as_str() {
-        "fit" => fit::run(&args, &tracer, scratch.path()),
-        "serve" => serve::run(&args, &tracer, scratch.path()),
-        _ => fleet::run(&args, &tracer),
+    let (mut out, layers) = match args.workload.as_str() {
+        "fit" => (fit::run(&args, &tracer, scratch.path()), fit::LAYERS),
+        "serve" => (serve::run(&args, &tracer, scratch.path()), serve::LAYERS),
+        _ => (fleet::run(&args, &tracer), fleet::LAYERS),
     };
     out.set("peak_rss_mb", util::peak_rss_mb());
+    if args.trace {
+        for &(name, _) in &PER_LAYER {
+            if !layers.contains(&name) {
+                out.set(name, 0.0);
+            }
+        }
+    }
     let table: &[(&str, &str)] = if args.trace { &PER_LAYER } else { &END_TO_END };
     let unmeasured: Vec<&str> = table
         .iter()
@@ -241,7 +259,7 @@ fn main() -> ExitCode {
         .filter(|&name| !out.value(name).is_finite())
         .collect();
     for name in unmeasured {
-        out.check("metrics_measured", Err(format!("{name} is not a number")));
+        out.check("metrics_measured", Err(format!("{name} was not measured")));
     }
 
     let steal = match (steal0, util::steal_ticks(), total0, util::total_ticks()) {
@@ -342,6 +360,32 @@ mod tests {
             .iter()
             .map(|m| (field(m, "name"), field(m, "unit")))
             .collect()
+    }
+
+    #[test]
+    fn every_per_layer_metric_is_measured_somewhere() {
+        let names: Vec<&str> = PER_LAYER.iter().map(|&(n, _)| n).collect();
+        for layers in [fit::LAYERS, serve::LAYERS, fleet::LAYERS] {
+            for name in layers {
+                assert!(names.contains(name), "{name} is not a per-layer metric");
+            }
+        }
+        for name in names {
+            assert!(
+                [fit::LAYERS, serve::LAYERS, fleet::LAYERS]
+                    .iter()
+                    .any(|l| l.contains(&name)),
+                "no workload measures {name}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unmeasured_metric_is_not_a_number() {
+        let mut out = Outcome::default();
+        assert!(out.value("op_cpu_ms").is_nan());
+        out.set("op_cpu_ms", 1.5);
+        assert_eq!(out.value("op_cpu_ms"), 1.5);
     }
 
     #[test]

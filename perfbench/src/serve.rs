@@ -3,28 +3,29 @@
 //!
 //! Set-up characterizes the GPU, fits, publishes, loads, builds the
 //! engine and binds the shard; it is repeated and the median reported.
-//! The request stream is seeded and Zipf-popular over the 109 serving
-//! kernels, the 64-configuration grid and a pool of utilization vectors:
-//! Power and Energy requests plus a few governor-backed BestConfig ones.
-//! Every eighth request is a Pareto request that walks all kernel and
-//! point-budget keys in a fixed order, so every run attempts whole
-//! rounds of the same Pareto requests whatever the seed: the program's
-//! frontier keeps points that share a runtime (one of them dominated),
-//! and those replies are counted as failed operations in an exact,
-//! seed-independent share. The distinct keys outnumber the 1,024-entry
-//! prediction cache many times over, so both hits (reactor and wire
-//! cost) and misses (LRU eviction, per-miss profiling) are exercised.
-//! An untimed warm-up of two rounds fills the cache first. One load
-//! thread writes pipelined batches of `WINDOW` requests on one
-//! connection and reads each batch's replies before the next (a closed
-//! loop); the single connection keeps the BestConfig arrival order, and
-//! so the reply stream, deterministic. The estimator and `gpm-par` fan-out are absent from
-//! the timed load.
+//! The model and the engine's device are seeded from `--seed`.
+//!
+//! The request stream is seeded and made of rounds of `ROUND_LEN`
+//! requests with a fixed count of each kind (`ROUND`) in a seeded order.
+//! Every kind ranges over the 109 serving kernels, and each draws its
+//! keys Zipf-popular over a seeded ranking: Power (a kernel's reference
+//! utilizations at one of the 64 grid configurations), Energy (kernel x
+//! configuration), Pareto (kernel x point budget) and governor-backed
+//! BestConfig (kernel x objective). The distinct keys outnumber the
+//! 1,024-entry prediction cache many times over, so both hits (reactor
+//! and wire cost) and misses (LRU eviction, per-miss profiling) are
+//! exercised. An untimed warm-up fills the cache first.
+//!
+//! One load thread writes each round as one pipelined batch on one
+//! connection and reads its replies before the next (a closed loop); the
+//! single connection keeps the BestConfig arrival order, and so the
+//! reply stream, deterministic. The estimator and `gpm-par` fan-out are
+//! absent from the timed load.
 
 use crate::checks;
 use crate::fit::{cold_fit, REPEATS};
 use crate::trace::Tracer;
-use crate::util::{median, quantile, secs, Digest, Rng};
+use crate::util::{cpu_s, median, quantile, secs, thread_cpu_s, Clock, Digest, Rng};
 use crate::{Args, Outcome};
 use gpm_core::{PowerModel, Utilizations};
 use gpm_dvfs::Objective;
@@ -34,7 +35,7 @@ use gpm_serve::{
     ServerHandle,
 };
 use gpm_sim::SimulatedGpu;
-use gpm_spec::{devices, FreqConfig};
+use gpm_spec::{devices, DeviceSpec, FreqConfig};
 use gpm_workloads::{microbenchmark_suite, validation_suite, KernelDesc};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -42,32 +43,64 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+/// The per-layer metrics this workload measures.
+pub const LAYERS: &[&str] = &[
+    "profiler.campaign_s",
+    "profiler.measurements_per_s",
+    "core.fit_s",
+    "core.coefficient_step_s",
+    "core.voltage_step_s",
+    "core.iterations",
+    "serve.registry.publish_ms",
+    "serve.registry.load_ms",
+    "serve.engine_us_per_req",
+    "serve.engine_miss_us.power",
+    "serve.engine_miss_us.energy",
+    "serve.engine_miss_us.pareto",
+    "serve.engine_miss_us.best_config",
+    "serve.cache_hit_ratio",
+    "serve.cache_evictions",
+    "serve.wire_us_per_req",
+    "serve.batch_mean",
+    "dvfs.governor_profiled",
+    "dvfs.pareto_dominated_points",
+];
+
 /// Set-ups timed for the `setup_s` median.
 const SETUPS: usize = 5;
-/// Requests per pipelined batch (the server's per-connection in-flight
-/// cap is 32).
-const WINDOW: usize = 16;
-/// Untimed warm-up rounds; their replies form the digested stream.
-const WARMUP_ROUNDS: usize = 2;
-/// Every `PARETO_EVERY`-th request is a Pareto request.
-const PARETO_EVERY: usize = 8;
+/// Requests of each kind in one round. No trace of real traffic to this
+/// service exists to draw the shares from; they follow the repository's
+/// own serving benchmark (`serve_load`: 14 Power, 1 Energy and 1
+/// BestConfig in every 16 requests), with one Power slot given to
+/// Pareto so that every kind the engine serves is in the mix.
+const ROUND: [(Kind, usize); 4] = [
+    (Kind::Power, 13),
+    (Kind::Energy, 1),
+    (Kind::Pareto, 1),
+    (Kind::BestConfig, 1),
+];
+/// Requests per round, written as one pipelined batch (the server's
+/// per-connection in-flight cap is 32).
+const ROUND_LEN: usize = 16;
+/// Untimed warm-up rounds: four times the cache's 1,024 entries. Their
+/// replies form the digested stream.
+const WARMUP_ROUNDS: usize = 256;
 /// Equal slices of the timed load for the completion-rate median.
 const SLICES: usize = 30;
-/// Size of the utilization-vector pool behind Power requests.
-const UTIL_POOL: usize = 256;
-/// Zipf exponent of key popularity.
+/// Latencies kept per slice: a uniform sample of the slice's requests,
+/// so that the benchmark's own memory does not grow with the program's
+/// throughput (peak RSS is an end-to-end metric; keeping every latency
+/// made it rise by about 8 bytes per request served).
+const SAMPLES_PER_SLICE: usize = 4096;
+/// Zipf exponent of key popularity: the conventional choice for cache
+/// workloads, not measured on this service.
 const ZIPF_S: f64 = 1.0;
-/// Mix of the seeded requests in percent: Power, Energy, BestConfig.
-const MIX: [(Kind, u32); 3] = [(Kind::Power, 63), (Kind::Energy, 34), (Kind::BestConfig, 3)];
-/// Model and engine seeds are fixed, so which Pareto replies hit the
-/// frontier fault does not depend on `--seed`.
-const MODEL_SEED: u64 = 0x5EED_0001;
-const ENGINE_SEED: u64 = 1042;
 const OBJECTIVES: [Objective; 3] = [
     Objective::MinEnergy,
     Objective::MinEdp,
     Objective::MinEnergyWithSlowdown(1.1),
 ];
+/// Pareto point budgets: the whole frontier, or its first 8 points.
 const PARETO_POINTS: [usize; 2] = [0, 8];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +114,13 @@ enum Kind {
 impl Kind {
     const ALL: [Kind; 4] = [Kind::Power, Kind::Energy, Kind::Pareto, Kind::BestConfig];
 
+    fn index(self) -> usize {
+        Kind::ALL
+            .iter()
+            .position(|&k| k == self)
+            .expect("known kind")
+    }
+
     fn miss_metric(self) -> &'static str {
         match self {
             Kind::Power => "serve.engine_miss_us.power",
@@ -89,14 +129,23 @@ impl Kind {
             Kind::BestConfig => "serve.engine_miss_us.best_config",
         }
     }
+
+    /// Keys per kernel: configurations, point budgets or objectives.
+    fn per_kernel(self, grid: usize) -> usize {
+        match self {
+            Kind::Power | Kind::Energy => grid,
+            Kind::Pareto => PARETO_POINTS.len(),
+            Kind::BestConfig => OBJECTIVES.len(),
+        }
+    }
 }
 
-/// One generated request: its kind and two key indices (utilization or
-/// kernel, then configuration, point budget or objective).
+/// One generated request: its kind, a kernel index and a second key
+/// index (configuration, point budget or objective).
 #[derive(Debug, Clone, Copy)]
 struct Op {
     kind: Kind,
-    a: u32,
+    kernel: u32,
     b: u32,
 }
 
@@ -137,99 +186,80 @@ struct Stream {
     rng: Rng,
     kernels: Vec<KernelDesc>,
     grid: Vec<FreqConfig>,
+    /// Each kernel's utilizations at the reference configuration, as the
+    /// simulator executes it: what a client that profiled the kernel
+    /// sends in a Power request.
     utils: Vec<Utilizations>,
-    /// Popularity of Power, Energy and BestConfig keys.
-    zipf: [Zipf; 3],
-    /// Requests drawn so far.
-    drawn: usize,
+    /// Key popularity per kind, in `Kind::ALL` order.
+    zipf: [Zipf; 4],
 }
 
 impl Stream {
-    fn new(seed: u64, kernels: Vec<KernelDesc>, grid: Vec<FreqConfig>) -> Stream {
-        let mut rng = Rng::derive(seed, 0x5E7E);
-        let utils = (0..UTIL_POOL)
-            .map(|_| {
-                let mut v = [0.0; 7];
-                for x in &mut v {
-                    *x = rng.next_f64();
-                }
-                Utilizations::from_values(v).expect("generated utilizations lie in [0, 1)")
+    fn new(seed: u64, spec: &DeviceSpec) -> Stream {
+        let kernels = serving_kernels(spec);
+        let grid = spec.vf_grid();
+        let mut gpu = SimulatedGpu::new(spec.clone(), 0);
+        gpu.set_clocks(spec.default_config())
+            .expect("the reference is on the grid");
+        let utils = kernels
+            .iter()
+            .map(|k| {
+                Utilizations::from_values(gpu.execute(k).utilizations)
+                    .expect("simulated utilizations lie in [0, 1]")
             })
             .collect();
-        let (nk, nc) = (kernels.len(), grid.len());
-        let zipf = [
-            Zipf::new(UTIL_POOL * nc, &mut rng),
-            Zipf::new(nk * nc, &mut rng),
-            Zipf::new(nk * OBJECTIVES.len(), &mut rng),
-        ];
+        let mut rng = Rng::derive(seed, 0x5E7E);
+        let zipf = Kind::ALL.map(|k| Zipf::new(kernels.len() * k.per_kernel(grid.len()), &mut rng));
         Stream {
             rng,
             kernels,
             grid,
             utils,
             zipf,
-            drawn: 0,
         }
     }
 
-    /// Requests in one round: the Pareto walk over every key once.
-    fn round_len(&self) -> usize {
-        PARETO_EVERY * self.kernels.len() * PARETO_POINTS.len()
-    }
-
-    /// Draws the next request.
-    fn next(&mut self) -> Op {
-        let i = self.drawn;
-        self.drawn += 1;
-        let op = if i % PARETO_EVERY == PARETO_EVERY - 1 {
-            let key = (i / PARETO_EVERY) % (self.kernels.len() * PARETO_POINTS.len());
-            Op {
-                kind: Kind::Pareto,
-                a: (key / PARETO_POINTS.len()) as u32,
-                b: (key % PARETO_POINTS.len()) as u32,
-            }
-        } else {
-            let pick = (self.rng.next_u64() % 100) as u32;
-            let mut bound = 0;
-            let slot = MIX
-                .iter()
-                .position(|&(_, pct)| {
-                    bound += pct;
-                    pick < bound
-                })
-                .unwrap_or(0);
-            let kind = MIX[slot].0;
-            let key = self.zipf[slot].draw(&mut self.rng);
-            let inner = match kind {
-                Kind::BestConfig => OBJECTIVES.len(),
-                _ => self.grid.len(),
-            };
-            Op {
-                kind,
-                a: (key / inner) as u32,
-                b: (key % inner) as u32,
-            }
-        };
-        op
+    /// Draws the next round: `ROUND`'s requests in a seeded order.
+    fn round(&mut self) -> Vec<Op> {
+        let mut kinds: Vec<Kind> = ROUND
+            .iter()
+            .flat_map(|&(kind, n)| std::iter::repeat_n(kind, n))
+            .collect();
+        for i in (1..kinds.len()).rev() {
+            kinds.swap(i, self.rng.below(i + 1));
+        }
+        kinds
+            .into_iter()
+            .map(|kind| {
+                let key = self.zipf[kind.index()].draw(&mut self.rng);
+                let inner = kind.per_kernel(self.grid.len());
+                Op {
+                    kind,
+                    kernel: (key / inner) as u32,
+                    b: (key % inner) as u32,
+                }
+            })
+            .collect()
     }
 
     fn request(&self, op: Op) -> Request {
-        let (a, b) = (op.a as usize, op.b as usize);
+        let (k, b) = (op.kernel as usize, op.b as usize);
+        let kernel = self.kernels[k].name().to_string();
         match op.kind {
             Kind::Power => Request::Power {
-                utilizations: self.utils[a],
+                utilizations: self.utils[k],
                 config: self.grid[b],
             },
             Kind::Energy => Request::Energy {
-                kernel: self.kernels[a].name().to_string(),
+                kernel,
                 config: self.grid[b],
             },
             Kind::Pareto => Request::Pareto {
-                kernel: self.kernels[a].name().to_string(),
+                kernel,
                 max_points: PARETO_POINTS[b],
             },
             Kind::BestConfig => Request::BestConfig {
-                kernel: self.kernels[a].name().to_string(),
+                kernel,
                 objective: OBJECTIVES[b],
             },
         }
@@ -244,9 +274,23 @@ struct Checker {
     /// simulated hardware whose runtimes the replies must report.
     gpu: SimulatedGpu,
     runtimes: HashMap<(u32, FreqConfig), f64>,
+    /// Pareto replies checked, and their points dominated by a point of
+    /// the same runtime.
+    pareto_replies: u64,
+    tie_dominated: u64,
 }
 
 impl Checker {
+    fn new(model: &PowerModel, engine_seed: u64) -> Checker {
+        Checker {
+            model: model.clone(),
+            gpu: SimulatedGpu::new(model.spec().clone(), engine_seed),
+            runtimes: HashMap::new(),
+            pareto_replies: 0,
+            tie_dominated: 0,
+        }
+    }
+
     fn runtime(&mut self, kernel: &KernelDesc, k: u32, config: FreqConfig) -> Option<f64> {
         if let Some(&t) = self.runtimes.get(&(k, config)) {
             return Some(t);
@@ -259,16 +303,16 @@ impl Checker {
 
     fn check(&mut self, stream: &Stream, op: Op, reply: &Reply) -> Verdict {
         let Reply::Ok(response) = reply else {
-            return Verdict::Failed;
+            return Verdict::Wrong(format!("{:?} request answered {reply:?}", op.kind));
         };
-        if let (Kind::Power, Response::Power { watts }) = (op.kind, response) {
-            let u = &stream.utils[op.a as usize];
-            return checks::eq5_power(&self.model, u, stream.grid[op.b as usize])
-                .and_then(|expected| checks::power_reply(*watts, expected))
-                .into();
-        }
-        let kernel = &stream.kernels[op.a as usize];
+        let kernel = &stream.kernels[op.kernel as usize];
         match (op.kind, response) {
+            (Kind::Power, Response::Power { watts }) => {
+                let u = &stream.utils[op.kernel as usize];
+                checks::eq5_power(&self.model, u, stream.grid[op.b as usize])
+                    .and_then(|expected| checks::power_reply(*watts, expected))
+                    .into()
+            }
             (
                 Kind::Energy,
                 Response::Energy {
@@ -278,7 +322,7 @@ impl Checker {
                 },
             ) => {
                 let config = stream.grid[op.b as usize];
-                match self.runtime(kernel, op.a, config) {
+                match self.runtime(kernel, op.kernel, config) {
                     Some(t) => checks::energy_reply(*joules, *time_s, *power_w, t).into(),
                     None => Verdict::Wrong(format!("grid point {config} rejected")),
                 }
@@ -294,18 +338,21 @@ impl Checker {
                 let mut times = HashMap::new();
                 for p in points {
                     if stream.grid.contains(&p.config) {
-                        times.insert(p.config, self.runtime(kernel, op.a, p.config));
+                        times.insert(p.config, self.runtime(kernel, op.kernel, p.config));
                     }
                 }
-                match checks::pareto_reply(points, |c| times.get(&c).copied().flatten()) {
-                    Err(e) => Verdict::Wrong(e),
-                    Ok(()) if checks::pareto_ties(points).is_err() => Verdict::Failed,
+                let sim = |c| times.get(&c).copied().flatten();
+                self.pareto_replies += 1;
+                self.tie_dominated += checks::tie_dominated(points) as u64;
+                match checks::pareto_reply(points, sim) {
                     Ok(()) => Verdict::Ok,
+                    Err(_) if checks::only_runtime_ties(points, sim) => Verdict::Failed,
+                    Err(e) => Verdict::Wrong(e),
                 }
             }
             (Kind::BestConfig, Response::BestConfig { config, time_s, .. }) => {
                 let t = if stream.grid.contains(config) {
-                    self.runtime(kernel, op.a, *config)
+                    self.runtime(kernel, op.kernel, *config)
                 } else {
                     None
                 };
@@ -319,10 +366,13 @@ impl Checker {
 /// The outcome of checking one reply.
 enum Verdict {
     Ok,
-    /// The operation failed: a non-Ok reply, or a Pareto frontier with a
-    /// runtime tie (the program fault this workload counts).
+    /// The one known fault of the program that this workload counts as a
+    /// failed operation: `gpm_dvfs::pareto_frontier` keeps points that
+    /// share a runtime, so a frontier holds points dominated by a point
+    /// of the same runtime. Every Pareto reply at every seed carries it,
+    /// so it fails the same share of requests in every run.
     Failed,
-    /// An Ok reply that an independent check rejects.
+    /// A reply that an independent check rejects, or a non-Ok reply.
     Wrong(String),
 }
 
@@ -335,11 +385,20 @@ impl From<checks::Check> for Verdict {
     }
 }
 
+/// Seeds of the served model's device and of the engine's device.
+fn seeds(seed: u64) -> (u64, u64) {
+    (
+        Rng::derive(seed, 0x30DE1).next_u64(),
+        Rng::derive(seed, 0xE461E).next_u64(),
+    )
+}
+
 /// One timed set-up: characterize, fit, publish, load, engine, bind.
-fn setup(dir: &Path, tracer: &Tracer) -> Result<(ServerHandle, PowerModel), String> {
+fn setup(dir: &Path, seed: u64, tracer: &Tracer) -> Result<(ServerHandle, PowerModel), String> {
+    let (model_seed, engine_seed) = seeds(seed);
     let spec = devices::gtx_titan_x();
     let suite = microbenchmark_suite(&spec);
-    let mut gpu = SimulatedGpu::new(spec, MODEL_SEED);
+    let mut gpu = SimulatedGpu::new(spec, model_seed);
     let training = tracer
         .run("profiler.campaign", || {
             Profiler::with_repeats(&mut gpu, REPEATS).profile_suite(&suite)
@@ -358,7 +417,11 @@ fn setup(dir: &Path, tracer: &Tracer) -> Result<(ServerHandle, PowerModel), Stri
         })
         .map_err(|e| format!("load: {e}"))?;
     let engine = tracer.run("serve.engine_new", || {
-        PredictionEngine::new(entry.model.clone(), &entry.identity(), &engine_config())
+        PredictionEngine::new(
+            entry.model.clone(),
+            &entry.identity(),
+            &engine_config(engine_seed),
+        )
     });
     let config = ServerConfig {
         shards: 1,
@@ -373,9 +436,9 @@ fn setup(dir: &Path, tracer: &Tracer) -> Result<(ServerHandle, PowerModel), Stri
     Ok((handle, entry.model))
 }
 
-fn engine_config() -> EngineConfig {
+fn engine_config(seed: u64) -> EngineConfig {
     EngineConfig {
-        seed: ENGINE_SEED,
+        seed,
         ..EngineConfig::default()
     }
 }
@@ -384,8 +447,12 @@ fn engine_config() -> EngineConfig {
 /// equal slices of the nominal run length; replies completing after it
 /// (the end of the last round) are checked but not sliced.
 struct Load {
-    /// Latencies in seconds of the requests completing in each slice.
-    slices: Vec<Vec<f32>>,
+    /// Per slice: a uniform sample of the latencies in seconds of the
+    /// requests completing in it, and how many completed.
+    slices: Vec<(Vec<f32>, usize)>,
+    /// Per slice: the server's CPU seconds (the process's CPU time less
+    /// the load thread's) and the requests of the rounds that ended in it.
+    slice_cpu: Vec<(f64, usize)>,
     slice_s: f64,
     timed_s: f64,
     /// Requests sent after the warm-up.
@@ -393,24 +460,26 @@ struct Load {
 }
 
 impl Load {
-    /// Median over slices of a per-slice statistic.
+    /// Median over slices of a statistic of each slice's latencies.
     fn per_slice(&self, f: impl Fn(&[f64]) -> f64) -> f64 {
         let stats: Vec<f64> = self
             .slices
             .iter()
-            .filter(|s| !s.is_empty())
-            .map(|s| f(&s.iter().map(|&x| f64::from(x)).collect::<Vec<_>>()))
+            .filter(|(sample, _)| !sample.is_empty())
+            .map(|(sample, _)| f(&sample.iter().map(|&x| f64::from(x)).collect::<Vec<_>>()))
             .collect();
         median(&stats)
     }
-}
 
-fn reply_kind(reply: &Reply) -> &'static str {
-    match reply {
-        Reply::Ok(_) => "Ok (Pareto points sharing a runtime)",
-        Reply::Overloaded { .. } => "Overloaded",
-        Reply::Error { .. } => "Error",
-        Reply::DeadlineExceeded { .. } => "DeadlineExceeded",
+    /// Median over slices of the completion rate.
+    fn per_second(&self) -> f64 {
+        let counts: Vec<f64> = self
+            .slices
+            .iter()
+            .filter(|&&(_, n)| n > 0)
+            .map(|&(_, n)| n as f64)
+            .collect();
+        median(&counts) / self.slice_s
     }
 }
 
@@ -485,11 +554,11 @@ fn io_error(msg: String) -> std::io::Error {
 }
 
 /// Runs the warm-up rounds and then whole rounds of timed load for at
-/// least `seconds` on one connection. Each batch of `WINDOW` requests is
-/// written in one go, then its replies are read and checked before the
-/// next batch (a closed loop): one core drives the load, the other
-/// serves it. With a window that slides request by request instead,
-/// throughput at one seed varied 15% between consecutive runs.
+/// least `seconds` on one connection. Each round is written in one go,
+/// then its replies are read and checked before the next round (a
+/// closed loop): one core drives the load, the other serves it. With a
+/// window that slides request by request instead, throughput at one
+/// seed varied 15% between consecutive runs.
 fn drive(
     addr: std::net::SocketAddr,
     stream: &mut Stream,
@@ -499,86 +568,104 @@ fn drive(
     digest: &mut Digest,
 ) -> std::io::Result<Load> {
     let mut conn = SpinConn::connect(addr)?;
-    let round = stream.round_len();
-    assert!(round.is_multiple_of(WINDOW), "batches tile a round");
-    let warmup = WARMUP_ROUNDS * round;
-    let mut warm_replies: Vec<Option<String>> = vec![None; warmup];
-    let mut failures: std::collections::BTreeMap<String, u64> = Default::default();
     let mut load = Load {
-        slices: vec![Vec::new(); SLICES],
+        slices: (0..SLICES)
+            .map(|_| (Vec::with_capacity(SAMPLES_PER_SLICE), 0))
+            .collect(),
+        slice_cpu: vec![(0.0, 0); SLICES],
         slice_s: seconds / SLICES as f64,
         timed_s: 0.0,
         timed_requests: 0,
     };
-    let mut frames = Vec::with_capacity(WINDOW * 256);
-    let mut batch: Vec<Op> = Vec::with_capacity(WINDOW);
+    let mut frames = Vec::with_capacity(ROUND_LEN * 256);
+    // Picks which latencies a full slice keeps (reservoir sampling).
+    let mut pick = Rng::derive(0, 0x5A3F1E);
+    // A digest of each warm-up reply by request id: replies to governor
+    // requests come back out of order, at positions that depend on timing.
+    let mut warm = vec![0u64; WARMUP_ROUNDS * ROUND_LEN];
     let mut timed_start: Option<Instant> = None;
     let mut first = 0usize;
+    // The server's CPU time is read where a round ends in a new slice:
+    // the kernel brings another thread's CPU time up to date only at its
+    // own scheduling events, so a reading can lag by a tick, and only
+    // readings a whole slice apart keep that lag small.
+    let server_cpu = || cpu_s() - thread_cpu_s();
+    // The open slice and the server's CPU time when it opened.
+    let mut mark = (0, 0.0);
 
-    loop {
-        if first == warmup {
+    for round in 0.. {
+        if round == WARMUP_ROUNDS {
             timed_start = Some(Instant::now());
+            mark = (0, server_cpu());
         }
-        // Stop only at a round boundary: whole rounds in every run.
         if let Some(t0) = timed_start {
-            if first.is_multiple_of(round) && secs(t0) >= seconds {
+            if secs(t0) >= seconds {
                 break;
             }
-            load.timed_requests += WINDOW;
+            load.timed_requests += ROUND_LEN;
         }
+        let ops = stream.round();
         frames.clear();
-        batch.clear();
-        for id in first..first + WINDOW {
-            let op = stream.next();
+        for (id, &op) in (first..).zip(&ops) {
             let payload = proto::encode_request(id as u64, &stream.request(op));
             frames.extend_from_slice(&(payload.len() as u32).to_be_bytes());
             frames.extend_from_slice(payload.as_bytes());
-            batch.push(op);
         }
         let at = Instant::now();
         conn.send(&frames)?;
-        out.attempted += WINDOW as u64;
+        out.attempted += ROUND_LEN as u64;
 
-        for _ in 0..WINDOW {
+        for _ in 0..ROUND_LEN {
             let frame = conn.next_frame()?;
             let done = Instant::now();
             let (id, reply) = proto::decode_reply(&frame).map_err(|e| io_error(e.to_string()))?;
             let op = (id as usize)
                 .checked_sub(first)
-                .and_then(|k| batch.get(k).copied())
+                .and_then(|k| ops.get(k).copied())
                 .ok_or_else(|| io_error(format!("unexpected reply id {id}")))?;
             match timed_start {
                 Some(t0) => {
                     let slice = (done.duration_since(t0).as_secs_f64() / load.slice_s) as usize;
-                    if let Some(s) = load.slices.get_mut(slice) {
-                        s.push(done.duration_since(at).as_secs_f32());
+                    if let Some((sample, seen)) = load.slices.get_mut(slice) {
+                        let latency = done.duration_since(at).as_secs_f32();
+                        *seen += 1;
+                        if sample.len() < SAMPLES_PER_SLICE {
+                            sample.push(latency);
+                        } else if let Some(kept) = sample.get_mut(pick.below(*seen)) {
+                            *kept = latency;
+                        }
                     }
                 }
                 None => {
-                    warm_replies[id as usize] =
-                        Some(gpm_json::write(&gpm_json::ToJson::to_json(&reply)))
+                    let mut d = Digest::new();
+                    d.write(gpm_json::write(&gpm_json::ToJson::to_json(&reply)).as_bytes());
+                    warm[id as usize] = d.value();
                 }
             }
             match checker.check(stream, op, &reply) {
                 Verdict::Ok => out.check("serve_replies", Ok(())),
-                Verdict::Failed => {
-                    out.failed += 1;
-                    *failures
-                        .entry(format!("{:?} {}", op.kind, reply_kind(&reply)))
-                        .or_insert(0) += 1;
-                }
+                Verdict::Failed => out.failed += 1,
                 Verdict::Wrong(e) => out.check("serve_replies", Err(format!("request {id}: {e}"))),
             }
         }
-        first += WINDOW;
+        if let Some(t0) = timed_start {
+            let slice = ((secs(t0) / load.slice_s) as usize).min(SLICES - 1);
+            if slice != mark.0 {
+                let now = server_cpu();
+                load.slice_cpu[mark.0].0 = now - mark.1;
+                mark = (slice, now);
+            }
+            load.slice_cpu[slice].1 += ROUND_LEN;
+        }
+        first += ROUND_LEN;
+    }
+    if timed_start.is_some() {
+        load.slice_cpu[mark.0].0 = server_cpu() - mark.1;
+    }
+    for reply in warm {
+        digest.write(&reply.to_le_bytes());
     }
     load.timed_s = timed_start.map_or(0.0, secs);
-    for (what, n) in failures {
-        out.notes.push(format!("serve: {n} failed {what} replies"));
-    }
-    for r in &warm_replies {
-        digest.write(r.as_deref().unwrap_or("missing").as_bytes());
-    }
     Ok(load)
 }
 
@@ -586,13 +673,15 @@ pub fn run(args: &Args, tracer: &Tracer, scratch: &Path) -> Outcome {
     let mut out = Outcome::default();
 
     let mut setups = Vec::with_capacity(SETUPS);
+    let mut setups_cpu = Vec::with_capacity(SETUPS);
     let mut served: Option<(ServerHandle, PowerModel)> = None;
     for i in 0..SETUPS {
-        let t = Instant::now();
+        let t = Clock::start();
         let result = tracer.run("setup", || {
-            setup(&scratch.join(format!("serve-{i}")), tracer)
+            setup(&scratch.join(format!("serve-{i}")), args.seed, tracer)
         });
-        setups.push(secs(t));
+        setups.push(t.wall_s());
+        setups_cpu.push(t.cpu_s());
         match result {
             Ok((handle, model)) => {
                 if let Some((previous, first)) = served.replace((handle, model)) {
@@ -610,24 +699,18 @@ pub fn run(args: &Args, tracer: &Tracer, scratch: &Path) -> Outcome {
                     );
                 }
             }
-            Err(e) => out.notes.push(format!("set-up {i} failed: {e}")),
+            Err(e) => out.check("setup", Err(format!("set-up {i}: {e}"))),
         }
     }
-    out.set("setup_s", median(&setups));
+    out.set("setup_s", median(&setups_cpu));
     let Some((handle, model)) = served else {
         out.attempted += 1;
-        out.failed += 1;
+        out.fail("serve_load", "no set-up succeeded".into());
         return out;
     };
 
-    let spec = model.spec().clone();
-    let kernels = serving_kernels(&spec);
-    let mut stream = Stream::new(args.seed, kernels.clone(), spec.vf_grid());
-    let mut checker = Checker {
-        model: model.clone(),
-        gpu: SimulatedGpu::new(spec.clone(), ENGINE_SEED),
-        runtimes: HashMap::new(),
-    };
+    let mut stream = Stream::new(args.seed, model.spec());
+    let mut checker = Checker::new(&model, seeds(args.seed).1);
     let addr = handle.local_addr().expect("bound server has an address");
     let mut digest = Digest::new();
     let load = tracer.run("serve.load", || {
@@ -644,15 +727,14 @@ pub fn run(args: &Args, tracer: &Tracer, scratch: &Path) -> Outcome {
     let load = match load {
         Ok(l) => l,
         Err(e) => {
-            out.failed += 1;
-            out.notes.push(format!("load aborted: {e}"));
+            out.fail("serve_load", format!("load aborted: {e}"));
             return out;
         }
     };
     out.digests.push((
         format!(
             "serve reply stream (warm-up, {} requests)",
-            WARMUP_ROUNDS * stream.round_len()
+            WARMUP_ROUNDS * ROUND_LEN
         ),
         digest.hex(),
     ));
@@ -665,28 +747,40 @@ pub fn run(args: &Args, tracer: &Tracer, scratch: &Path) -> Outcome {
         },
     );
 
-    out.set("p50_ms", load.per_slice(median) * 1e3);
-    out.set("p90_ms", load.per_slice(|s| quantile(s, 0.9)) * 1e3);
-    out.set(
-        "ops_per_s",
-        load.per_slice(|s| s.len() as f64) / load.slice_s,
-    );
+    let server_cpu: Vec<f64> = load
+        .slice_cpu
+        .iter()
+        .filter(|&&(_, n)| n > 0)
+        .map(|&(c, n)| c / n as f64)
+        .collect();
+    out.set("op_cpu_ms", median(&server_cpu) * 1e3);
+    out.notes.push(format!(
+        "wall: set-up {:.3} s, request latency p50 {:.4} ms p90 {:.4} ms p99 {:.4} ms, {:.0} requests/s \
+         (medians over {SLICES} slices of the timed load)",
+        median(&setups),
+        load.per_slice(median) * 1e3,
+        load.per_slice(|s| quantile(s, 0.9)) * 1e3,
+        load.per_slice(|s| quantile(s, 0.99)) * 1e3,
+        load.per_second(),
+    ));
     let cache = engine.stats().cache;
     out.notes.push(format!(
-        "serve: {} timed requests in {:.2} s in batches of {WINDOW}, p99 {:.3} ms; \
-         cache hits {} misses {} evictions {}; {} batches",
+        "serve: {} timed requests in {:.2} s in rounds of {ROUND_LEN}; \
+         cache hits {} misses {} evictions {}; {} batches; {} failed Pareto replies \
+         (points dominated by a point of the same runtime, {:.2} per reply)",
         load.timed_requests,
         load.timed_s,
-        load.per_slice(|s| quantile(s, 0.99)) * 1e3,
         cache.hits,
         cache.misses,
         cache.evictions,
-        stats.batches
+        stats.batches,
+        out.failed,
+        checker.tie_dominated as f64 / checker.pareto_replies.max(1) as f64,
     ));
 
     if tracer.enabled() {
         per_layer(
-            tracer, args.seed, kernels, &load, &model, &engine, &stats, &mut out,
+            tracer, args.seed, &checker, &load, &model, &engine, &stats, &mut out,
         );
     }
     out
@@ -694,7 +788,7 @@ pub fn run(args: &Args, tracer: &Tracer, scratch: &Path) -> Outcome {
 
 /// The 109 kernels the engine serves: microbenchmarks and validation
 /// applications.
-fn serving_kernels(spec: &gpm_spec::DeviceSpec) -> Vec<KernelDesc> {
+fn serving_kernels(spec: &DeviceSpec) -> Vec<KernelDesc> {
     let mut kernels = microbenchmark_suite(spec);
     kernels.extend(validation_suite(spec));
     kernels
@@ -706,7 +800,7 @@ fn serving_kernels(spec: &gpm_spec::DeviceSpec) -> Vec<KernelDesc> {
 fn per_layer(
     tracer: &Tracer,
     seed: u64,
-    kernels: Vec<KernelDesc>,
+    checker: &Checker,
     load: &Load,
     model: &PowerModel,
     engine: &PredictionEngine,
@@ -750,38 +844,35 @@ fn per_layer(
         "dvfs.governor_profiled",
         f64::from(engine.governor_stats().profiled),
     );
+    out.set(
+        "dvfs.pareto_dominated_points",
+        checker.tie_dominated as f64 / checker.pareto_replies as f64,
+    );
 
     // The same stream, regenerated from the seed, replayed in-process
     // through `process_batch` one request per call at one worker: the
     // warm-up untimed, then every timed request, misses split by kind.
-    let mut stream = Stream::new(seed, kernels, model.spec().vf_grid());
-    let warmup = WARMUP_ROUNDS * stream.round_len();
+    let mut stream = Stream::new(seed, model.spec());
     gpm_par::set_threads(Some(1));
-    let mut replay = PredictionEngine::new(model.clone(), "replay@v1", &engine_config());
-    let warm: Vec<Request> = (0..warmup)
-        .map(|_| {
-            let op = stream.next();
-            stream.request(op)
-        })
-        .collect();
+    let mut replay =
+        PredictionEngine::new(model.clone(), "replay@v1", &engine_config(seeds(seed).1));
+    let warm_ops: Vec<Op> = (0..WARMUP_ROUNDS).flat_map(|_| stream.round()).collect();
+    let warm: Vec<Request> = warm_ops.into_iter().map(|op| stream.request(op)).collect();
     tracer.run("serve.replay_warmup", || replay.process_batch(&warm));
     let mut total = 0.0;
     let mut misses: [Vec<f64>; 4] = Default::default();
     tracer.run("serve.replay", || {
-        for _ in 0..load.timed_requests {
-            let op = stream.next();
-            let request = stream.request(op);
-            let before = replay.stats().cache.misses;
-            let t = Instant::now();
-            std::hint::black_box(replay.process_batch(std::slice::from_ref(&request)));
-            let dt = secs(t);
-            total += dt;
-            if replay.stats().cache.misses > before {
-                let k = Kind::ALL
-                    .iter()
-                    .position(|&k| k == op.kind)
-                    .expect("known kind");
-                misses[k].push(dt);
+        for _ in 0..load.timed_requests / ROUND_LEN {
+            for op in stream.round() {
+                let request = stream.request(op);
+                let before = replay.stats().cache.misses;
+                let t = Instant::now();
+                std::hint::black_box(replay.process_batch(std::slice::from_ref(&request)));
+                let dt = secs(t);
+                total += dt;
+                if replay.stats().cache.misses > before {
+                    misses[op.kind.index()].push(dt);
+                }
             }
         }
     });
@@ -789,10 +880,8 @@ fn per_layer(
     let engine_us = total / load.timed_requests.max(1) as f64 * 1e6;
     out.set("serve.engine_us_per_req", engine_us);
     for (kind, m) in Kind::ALL.iter().zip(&misses) {
-        out.set(
-            kind.miss_metric(),
-            if m.is_empty() { 0.0 } else { median(m) * 1e6 },
-        );
+        // No miss of a kind leaves its metric unmeasured (NaN).
+        out.set(kind.miss_metric(), median(m) * 1e6);
     }
     out.set(
         "serve.wire_us_per_req",
