@@ -1,17 +1,15 @@
 //! Microbenchmark for the batched prediction kernels (`gpm-linalg::batch`).
 //!
 //! Fits the GTX Titan X model once, tiles its 64-configuration V-F grid
-//! to a ~10k-point sweep, and measures points/sec through three routes:
+//! to a ~10k-point sweep, and measures points/sec through two routes:
 //!
 //! - **end-to-end**: per-point `PowerModel::predict` in a loop (what
 //!   every grid sweep did before batching) vs. one
-//!   `PowerModel::predict_batch` call (voltage resolution + blocked or
-//!   SIMD panels) — the number the ≥4x acceptance gate reads;
-//! - **kernel-level**: the raw `predict_scalar_into` oracle vs.
-//!   `predict_blocked_into` vs. the runtime-dispatched `predict_into`
-//!   on prebuilt points, isolating the panel arithmetic from table
-//!   lookups. Build with `--features simd` to put AVX2/SSE2 in the
-//!   third row (`dispatch` records which path actually ran).
+//!   `PowerModel::predict_batch` call (voltage resolution + blocked
+//!   panels) — the number the ≥4x acceptance gate reads;
+//! - **kernel-level**: the raw `predict_scalar_into` oracle vs. the
+//!   blocked `predict_into` on prebuilt points, isolating the panel
+//!   arithmetic from table lookups.
 //!
 //! Every measured route is asserted bit-identical to the scalar oracle
 //! before timing — a fast wrong kernel must fail the bench, not win it.
@@ -63,15 +61,12 @@ struct PredictReport {
     grid_configs: usize,
     points: usize,
     repeats: usize,
-    dispatch: String,
-    simd_feature: bool,
     end_to_end: Vec<BenchRow>,
     kernel: Vec<BenchRow>,
 }
 
 impl_json!(struct PredictReport {
-    device, grid_configs, points, repeats, dispatch, simd_feature,
-    end_to_end, kernel
+    device, grid_configs, points, repeats, end_to_end, kernel
 });
 
 fn rows_from(points: usize, timings: Vec<(String, f64)>) -> Vec<BenchRow> {
@@ -190,22 +185,13 @@ fn main() {
     let mut oracle = vec![0.0; n];
     batch::predict_scalar_into(&panel, &points, &mut oracle);
     let mut check = vec![0.0; n];
-    batch::predict_blocked_into(&panel, &points, &mut check);
-    assert!(
-        oracle
-            .iter()
-            .zip(&check)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "blocked kernel diverged from the scalar oracle"
-    );
     batch::predict_into(&panel, &points, &mut check);
     assert!(
         oracle
             .iter()
             .zip(&check)
             .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "dispatched kernel ({}) diverged from the scalar oracle",
-        batch::dispatch_kind()
+        "blocked kernel diverged from the scalar oracle"
     );
 
     let mut buf = vec![0.0; n];
@@ -214,10 +200,6 @@ fn main() {
         buf[n - 1]
     });
     let (blocked_s, _) = best_of(reps, || {
-        batch::predict_blocked_into(&panel, &points, &mut buf);
-        buf[n - 1]
-    });
-    let (dispatched_s, _) = best_of(reps, || {
         batch::predict_into(&panel, &points, &mut buf);
         buf[n - 1]
     });
@@ -226,10 +208,6 @@ fn main() {
         vec![
             ("scalar oracle".to_string(), oracle_s),
             ("blocked panels".to_string(), blocked_s),
-            (
-                format!("dispatched ({})", batch::dispatch_kind()),
-                dispatched_s,
-            ),
         ],
     );
     print_rows(&kernel);
@@ -239,8 +217,6 @@ fn main() {
         grid_configs: grid.len(),
         points: n,
         repeats: reps,
-        dispatch: batch::dispatch_kind().to_string(),
-        simd_feature: cfg!(feature = "simd"),
         end_to_end,
         kernel,
     };

@@ -425,8 +425,7 @@ impl PowerModel {
     /// are folded into one [`gpm_linalg::PanelModel`], the voltage table
     /// is flattened once into a sorted array (so the per-point lookup is
     /// a cache-friendly binary search instead of a B-tree walk), and the
-    /// arithmetic runs through `gpm_linalg::batch` — blocked panels, or
-    /// runtime-dispatched SSE2/AVX2 when built with the `simd` feature.
+    /// arithmetic runs through `gpm_linalg::batch`'s blocked panels.
     ///
     /// # Errors
     ///

@@ -12,13 +12,11 @@
 //! the floating-point operations of the scalar reference, in exactly the
 //! same order, so results are equal to the last ULP — not merely close.
 //! [`predict_scalar_into`] *is* that reference (the conformance oracle);
-//! [`predict_blocked_into`] restates it as structure-of-arrays panels
-//! whose inner loops the compiler can pipeline; with the `simd` feature
-//! enabled, [`predict_into`] additionally dispatches to hand-written
-//! SSE2/AVX2 lanes at runtime. Vector lanes evaluate *distinct points*
-//! side by side while preserving the within-point operation order (pure
-//! IEEE mul/add, never FMA), which is why lane width cannot change
-//! results.
+//! [`predict_into`] restates it as structure-of-arrays panels whose inner
+//! loops the compiler can pipeline and auto-vectorize. Vector lanes
+//! evaluate *distinct points* side by side while preserving the
+//! within-point operation order (pure IEEE mul/add, never FMA), which is
+//! why lane width cannot change results.
 //!
 //! The panel model here is deliberately shape-generic (any number of
 //! core-domain terms): `gpm-linalg` knows nothing about GPUs, only about
@@ -66,9 +64,9 @@ pub struct PanelModel<'a> {
     pub mem_term: (f64, f64),
 }
 
-/// Panel width of the blocked and SIMD paths: big enough to amortize the
-/// per-panel setup, small enough that the three f64 scratch panels stay
-/// resident in L1 (3 × 256 × 8 B = 6 KiB).
+/// Panel width of [`predict_into`]: big enough to amortize the
+/// per-panel setup, small enough that the four f64 scratch panels stay
+/// resident in L1 (4 × 256 × 8 B = 8 KiB).
 const BLOCK: usize = 256;
 
 /// Evaluates one point exactly as the scalar per-component breakdown
@@ -89,8 +87,8 @@ fn predict_one(m: &PanelModel<'_>, p: VfPoint) -> f64 {
 }
 
 /// The scalar conformance oracle: a plain per-point loop over
-/// [`predict_one`]. Every other path in this module must produce output
-/// bit-identical to this one.
+/// [`predict_one`]. [`predict_into`] must produce output bit-identical
+/// to this one.
 ///
 /// # Panics
 ///
@@ -102,7 +100,7 @@ pub fn predict_scalar_into(m: &PanelModel<'_>, points: &[VfPoint], out: &mut [f6
     }
 }
 
-/// Blocked panel evaluation: points are processed [`BLOCK`] at a time as
+/// Batched evaluation: points are processed [`BLOCK`] at a time as
 /// structure-of-arrays scratch panels, with one tight inner loop per
 /// model term streaming over the panel. Per point, the operations and
 /// their order are identical to [`predict_scalar_into`]; only the loop
@@ -112,7 +110,7 @@ pub fn predict_scalar_into(m: &PanelModel<'_>, points: &[VfPoint], out: &mut [f6
 /// # Panics
 ///
 /// Panics if `out.len() != points.len()`.
-pub fn predict_blocked_into(m: &PanelModel<'_>, points: &[VfPoint], out: &mut [f64]) {
+pub fn predict_into(m: &PanelModel<'_>, points: &[VfPoint], out: &mut [f64]) {
     assert_eq!(points.len(), out.len(), "one output slot per point");
     let ci = m.core_idle + 0.0;
     let mi = m.mem_idle + 0.0;
@@ -141,45 +139,10 @@ pub fn predict_blocked_into(m: &PanelModel<'_>, points: &[VfPoint], out: &mut [f
     }
 }
 
-/// Batched evaluation with runtime dispatch: the widest available path —
-/// AVX2, then SSE2 (compiled only under the `simd` feature on x86-64),
-/// then the blocked scalar panels. All paths are bit-identical, so the
-/// dispatch choice is purely a throughput decision.
-///
-/// # Panics
-///
-/// Panics if `out.len() != points.len()`.
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
-pub fn predict_into(m: &PanelModel<'_>, points: &[VfPoint], out: &mut [f64]) {
-    assert_eq!(points.len(), out.len(), "one output slot per point");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { simd_x86::predict_avx2(m, points, out) };
-            return;
-        }
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { simd_x86::predict_sse2(m, points, out) };
-        return;
-    }
-    #[allow(unreachable_code)]
-    predict_blocked_into(m, points, out)
-}
-
-/// The path [`predict_into`] dispatches to on this machine and build:
-/// `"avx2"`, `"sse2"` or `"blocked"`. Benchmarks record it so a
-/// regression report names the kernel it measured; tests use it to
-/// assert that disabling the `simd` feature cleanly falls back.
+/// The kernel [`predict_into`] runs: always `"blocked"`. Benchmarks
+/// record it in their host stamp so a report names the kernel it
+/// measured.
 pub fn dispatch_kind() -> &'static str {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return "avx2";
-        }
-        return "sse2";
-    }
-    #[allow(unreachable_code)]
     "blocked"
 }
 
@@ -256,193 +219,6 @@ pub fn domain_residuals_into(
     }
 }
 
-/// Hand-written SSE2/AVX2 lanes (x86-64, `simd` feature only).
-///
-/// Lanes evaluate distinct points in parallel; each lane performs the
-/// scalar operation sequence (pure IEEE mul/add, no FMA), so widening
-/// from 1 to 2 to 4 lanes cannot change any result bit. Points are first
-/// transposed into structure-of-arrays panels because [`VfPoint`] is
-/// laid out AoS; the transpose is scalar and cheap relative to the
-/// per-term vector loops. The panel tail (`n % lanes`) and sub-panel
-/// batches fall back to [`predict_one`].
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd_x86 {
-    use super::{predict_one, PanelModel, VfPoint, BLOCK};
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// Scalar AoS → SoA transpose of one panel.
-    #[inline]
-    fn transpose(
-        pts: &[VfPoint],
-        vc: &mut [f64; BLOCK],
-        fc: &mut [f64; BLOCK],
-        vm: &mut [f64; BLOCK],
-        fm: &mut [f64; BLOCK],
-    ) {
-        for (i, p) in pts.iter().enumerate() {
-            vc[i] = p.vc;
-            fc[i] = p.fc;
-            vm[i] = p.vm;
-            fm[i] = p.fm;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must verify AVX2 support (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn predict_avx2(m: &PanelModel<'_>, points: &[VfPoint], out: &mut [f64]) {
-        let ci = m.core_idle + 0.0;
-        let mi = m.mem_idle + 0.0;
-        let cs = _mm256_set1_pd(m.core_static);
-        let ms = _mm256_set1_pd(m.mem_static);
-        let civ = _mm256_set1_pd(ci);
-        let miv = _mm256_set1_pd(mi);
-        let (mw, mu) = m.mem_term;
-        let mwv = _mm256_set1_pd(mw);
-        let muv = _mm256_set1_pd(mu);
-
-        let mut vc = [0.0f64; BLOCK];
-        let mut fc = [0.0f64; BLOCK];
-        let mut vm = [0.0f64; BLOCK];
-        let mut fm = [0.0f64; BLOCK];
-        let mut g = [0.0f64; BLOCK];
-        let mut h = [0.0f64; BLOCK];
-        let mut konst = [0.0f64; BLOCK];
-        let mut acc = [0.0f64; BLOCK];
-
-        for (pts, outs) in points.chunks(BLOCK).zip(out.chunks_mut(BLOCK)) {
-            let n = pts.len();
-            let lanes = n - n % 4;
-            transpose(pts, &mut vc, &mut fc, &mut vm, &mut fm);
-            let zero = _mm256_setzero_pd();
-            let mut i = 0;
-            while i < lanes {
-                let vcv = _mm256_loadu_pd(vc.as_ptr().add(i));
-                let fcv = _mm256_loadu_pd(fc.as_ptr().add(i));
-                let vmv = _mm256_loadu_pd(vm.as_ptr().add(i));
-                let fmv = _mm256_loadu_pd(fm.as_ptr().add(i));
-                // g = vc*vc*fc ; h = vm*vm*fm  (left-associated muls)
-                let gv = _mm256_mul_pd(_mm256_mul_pd(vcv, vcv), fcv);
-                let hv = _mm256_mul_pd(_mm256_mul_pd(vmv, vmv), fmv);
-                // konst = (cs*vc + g*ci) + (ms*vm + h*mi)
-                let core = _mm256_add_pd(_mm256_mul_pd(cs, vcv), _mm256_mul_pd(gv, civ));
-                let mem = _mm256_add_pd(_mm256_mul_pd(ms, vmv), _mm256_mul_pd(hv, miv));
-                _mm256_storeu_pd(g.as_mut_ptr().add(i), gv);
-                _mm256_storeu_pd(h.as_mut_ptr().add(i), hv);
-                _mm256_storeu_pd(konst.as_mut_ptr().add(i), _mm256_add_pd(core, mem));
-                _mm256_storeu_pd(acc.as_mut_ptr().add(i), zero);
-                i += 4;
-            }
-            for &(w, u) in m.core_terms {
-                let wv = _mm256_set1_pd(w);
-                let uv = _mm256_set1_pd(u);
-                let mut i = 0;
-                while i < lanes {
-                    let gv = _mm256_loadu_pd(g.as_ptr().add(i));
-                    let av = _mm256_loadu_pd(acc.as_ptr().add(i));
-                    // acc += (g*w)*u
-                    let t = _mm256_mul_pd(_mm256_mul_pd(gv, wv), uv);
-                    _mm256_storeu_pd(acc.as_mut_ptr().add(i), _mm256_add_pd(av, t));
-                    i += 4;
-                }
-            }
-            let mut i = 0;
-            while i < lanes {
-                let hv = _mm256_loadu_pd(h.as_ptr().add(i));
-                let av = _mm256_loadu_pd(acc.as_ptr().add(i));
-                let kv = _mm256_loadu_pd(konst.as_ptr().add(i));
-                // out = konst + (acc + (h*w)*u)
-                let t = _mm256_mul_pd(_mm256_mul_pd(hv, mwv), muv);
-                _mm256_storeu_pd(
-                    outs.as_mut_ptr().add(i),
-                    _mm256_add_pd(kv, _mm256_add_pd(av, t)),
-                );
-                i += 4;
-            }
-            // Tail lanes: the scalar reference.
-            for i in lanes..n {
-                outs[i] = predict_one(m, pts[i]);
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// SSE2 is unconditionally available on x86-64; the function is
-    /// `unsafe` only for symmetry with the intrinsics it calls.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn predict_sse2(m: &PanelModel<'_>, points: &[VfPoint], out: &mut [f64]) {
-        let ci = m.core_idle + 0.0;
-        let mi = m.mem_idle + 0.0;
-        let cs = _mm_set1_pd(m.core_static);
-        let ms = _mm_set1_pd(m.mem_static);
-        let civ = _mm_set1_pd(ci);
-        let miv = _mm_set1_pd(mi);
-        let (mw, mu) = m.mem_term;
-        let mwv = _mm_set1_pd(mw);
-        let muv = _mm_set1_pd(mu);
-
-        let mut vc = [0.0f64; BLOCK];
-        let mut fc = [0.0f64; BLOCK];
-        let mut vm = [0.0f64; BLOCK];
-        let mut fm = [0.0f64; BLOCK];
-        let mut g = [0.0f64; BLOCK];
-        let mut h = [0.0f64; BLOCK];
-        let mut konst = [0.0f64; BLOCK];
-        let mut acc = [0.0f64; BLOCK];
-
-        for (pts, outs) in points.chunks(BLOCK).zip(out.chunks_mut(BLOCK)) {
-            let n = pts.len();
-            let lanes = n - n % 2;
-            transpose(pts, &mut vc, &mut fc, &mut vm, &mut fm);
-            let zero = _mm_setzero_pd();
-            let mut i = 0;
-            while i < lanes {
-                let vcv = _mm_loadu_pd(vc.as_ptr().add(i));
-                let fcv = _mm_loadu_pd(fc.as_ptr().add(i));
-                let vmv = _mm_loadu_pd(vm.as_ptr().add(i));
-                let fmv = _mm_loadu_pd(fm.as_ptr().add(i));
-                let gv = _mm_mul_pd(_mm_mul_pd(vcv, vcv), fcv);
-                let hv = _mm_mul_pd(_mm_mul_pd(vmv, vmv), fmv);
-                let core = _mm_add_pd(_mm_mul_pd(cs, vcv), _mm_mul_pd(gv, civ));
-                let mem = _mm_add_pd(_mm_mul_pd(ms, vmv), _mm_mul_pd(hv, miv));
-                _mm_storeu_pd(g.as_mut_ptr().add(i), gv);
-                _mm_storeu_pd(h.as_mut_ptr().add(i), hv);
-                _mm_storeu_pd(konst.as_mut_ptr().add(i), _mm_add_pd(core, mem));
-                _mm_storeu_pd(acc.as_mut_ptr().add(i), zero);
-                i += 2;
-            }
-            for &(w, u) in m.core_terms {
-                let wv = _mm_set1_pd(w);
-                let uv = _mm_set1_pd(u);
-                let mut i = 0;
-                while i < lanes {
-                    let gv = _mm_loadu_pd(g.as_ptr().add(i));
-                    let av = _mm_loadu_pd(acc.as_ptr().add(i));
-                    let t = _mm_mul_pd(_mm_mul_pd(gv, wv), uv);
-                    _mm_storeu_pd(acc.as_mut_ptr().add(i), _mm_add_pd(av, t));
-                    i += 2;
-                }
-            }
-            let mut i = 0;
-            while i < lanes {
-                let hv = _mm_loadu_pd(h.as_ptr().add(i));
-                let av = _mm_loadu_pd(acc.as_ptr().add(i));
-                let kv = _mm_loadu_pd(konst.as_ptr().add(i));
-                let t = _mm_mul_pd(_mm_mul_pd(hv, mwv), muv);
-                _mm_storeu_pd(outs.as_mut_ptr().add(i), _mm_add_pd(kv, _mm_add_pd(av, t)));
-                i += 2;
-            }
-            for i in lanes..n {
-                outs[i] = predict_one(m, pts[i]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,45 +256,34 @@ mod tests {
             .collect()
     }
 
-    /// Every path agrees with the scalar oracle bit-for-bit, across
-    /// batch sizes that cover empty batches, single points, sub-block
-    /// batches, exact blocks and non-lane-multiple tails.
+    /// The batched kernel agrees with the scalar oracle bit-for-bit,
+    /// across batch sizes that cover empty batches, single points,
+    /// sub-block batches, exact blocks and partial trailing blocks.
     #[test]
-    fn blocked_and_dispatched_paths_match_the_scalar_oracle() {
-        gpm_check::check(
-            "blocked_and_dispatched_paths_match_the_scalar_oracle",
-            |g| {
-                let (terms, [cs, ci, ms, mi], mem) = arbitrary_model(g);
-                let m = PanelModel {
-                    core_static: cs,
-                    core_idle: ci,
-                    core_terms: &terms,
-                    mem_static: ms,
-                    mem_idle: mi,
-                    mem_term: mem,
-                };
-                let sizes = [0usize, 1, 2, 3, 5, 7, 63, 255, 256, 257, 1003];
-                let len = sizes[g.usize_in(0..sizes.len())];
-                let points = arbitrary_points(g, len);
-                let mut oracle = vec![0.0; len];
-                let mut blocked = vec![0.0; len];
-                let mut dispatched = vec![0.0; len];
-                predict_scalar_into(&m, &points, &mut oracle);
-                predict_blocked_into(&m, &points, &mut blocked);
-                predict_into(&m, &points, &mut dispatched);
-                assert_eq!(bits(&oracle), bits(&blocked), "blocked diverged");
-                assert_eq!(
-                    bits(&oracle),
-                    bits(&dispatched),
-                    "dispatched ({}) diverged",
-                    dispatch_kind()
-                );
-            },
-        );
+    fn batched_kernel_matches_the_scalar_oracle() {
+        gpm_check::check("batched_kernel_matches_the_scalar_oracle", |g| {
+            let (terms, [cs, ci, ms, mi], mem) = arbitrary_model(g);
+            let m = PanelModel {
+                core_static: cs,
+                core_idle: ci,
+                core_terms: &terms,
+                mem_static: ms,
+                mem_idle: mi,
+                mem_term: mem,
+            };
+            let sizes = [0usize, 1, 2, 3, 5, 7, 63, 255, 256, 257, 1003];
+            let len = sizes[g.usize_in(0..sizes.len())];
+            let points = arbitrary_points(g, len);
+            let mut oracle = vec![0.0; len];
+            let mut batched = vec![0.0; len];
+            predict_scalar_into(&m, &points, &mut oracle);
+            predict_into(&m, &points, &mut batched);
+            assert_eq!(bits(&oracle), bits(&batched), "batched kernel diverged");
+        });
     }
 
-    /// NaN and infinity inputs propagate identically through every path:
-    /// degraded sensors produce the same poisoned lanes everywhere.
+    /// NaN and infinity inputs propagate identically through both
+    /// kernels: degraded sensors produce the same poisoned lanes.
     #[test]
     fn non_finite_inputs_propagate_bit_identically() {
         // Degraded components: one with zero utilization, one with zero ω.
@@ -553,13 +318,10 @@ mod tests {
             fm: 3.505,
         });
         let mut oracle = vec![0.0; points.len()];
-        let mut blocked = vec![0.0; points.len()];
-        let mut dispatched = vec![0.0; points.len()];
+        let mut batched = vec![0.0; points.len()];
         predict_scalar_into(&m, &points, &mut oracle);
-        predict_blocked_into(&m, &points, &mut blocked);
-        predict_into(&m, &points, &mut dispatched);
-        assert_eq!(bits(&oracle), bits(&blocked));
-        assert_eq!(bits(&oracle), bits(&dispatched));
+        predict_into(&m, &points, &mut batched);
+        assert_eq!(bits(&oracle), bits(&batched));
         assert!(oracle[0].is_nan(), "NaN voltages must poison their point");
         assert!(oracle[8].is_finite(), "clean points stay clean");
     }
@@ -601,17 +363,5 @@ mod tests {
                 assert_eq!(want.to_bits(), out[i].to_bits());
             }
         });
-    }
-
-    #[test]
-    fn dispatch_kind_names_a_real_path() {
-        let kind = dispatch_kind();
-        assert!(
-            ["avx2", "sse2", "blocked"].contains(&kind),
-            "unknown dispatch kind {kind}"
-        );
-        if !cfg!(feature = "simd") {
-            assert_eq!(kind, "blocked", "without the feature, fallback is scalar");
-        }
     }
 }

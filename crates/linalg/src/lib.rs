@@ -28,11 +28,7 @@
 //! # Ok::<(), gpm_linalg::LinalgError>(())
 //! ```
 
-// `unsafe` is forbidden everywhere except the hand-written SSE2/AVX2
-// lanes in `batch::simd_x86`, which exist only under the opt-in `simd`
-// feature and carry their own `#[allow(unsafe_code)]` + safety notes.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -222,8 +222,8 @@ fn voltage_table_is_normalized_at_reference() {
 /// coefficients, random voltage curves) and random batches drawn from the
 /// V-F grid — including empty batches, singletons and non-lane-multiple
 /// tails — `predict_batch` must be *bit-identical* to calling the scalar
-/// `predict` per point. Runs with and without `--features simd`; the
-/// dispatched kernel must never change a single mantissa bit.
+/// `predict` per point: the blocked kernel must never change a single
+/// mantissa bit.
 #[test]
 fn predict_batch_is_bit_identical_to_scalar_predict_for_random_models() {
     let spec = devices::gtx_titan_x();
@@ -252,9 +252,9 @@ fn predict_batch_is_bit_identical_to_scalar_predict_for_random_models() {
                 640.0,
             );
             let u = draw_utilizations(g);
-            // Exercise the empty batch, singletons, SSE2/AVX2 tail
-            // remainders, a full block and the memoized sweep path
-            // (batch larger than the 64-config grid).
+            // Exercise the empty batch, singletons, odd tails, a full
+            // block and the memoized sweep path (batch larger than the
+            // 64-config grid).
             const SIZES: [usize; 9] = [0, 1, 2, 3, 5, 63, 64, 130, 257];
             let n = SIZES[g.usize_in(0..SIZES.len())];
             let configs: Vec<FreqConfig> =
@@ -310,23 +310,6 @@ fn predict_batch_conformance_survives_degraded_components() {
             );
         },
     );
-}
-
-/// The runtime dispatcher must agree with the compile-time feature: with
-/// `simd` off the only legal path is the safe blocked kernel (the clean
-/// scalar fallback CI's conformance job asserts), with it on an x86_64
-/// host must pick a vector path.
-#[test]
-fn batched_dispatch_agrees_with_the_simd_feature() {
-    let kind = gpm::linalg::batch::dispatch_kind();
-    if cfg!(feature = "simd") && cfg!(target_arch = "x86_64") {
-        assert!(
-            kind == "avx2" || kind == "sse2",
-            "simd build on x86_64 must dispatch a vector kernel, got {kind}"
-        );
-    } else {
-        assert_eq!(kind, "blocked", "non-simd build must fall back cleanly");
-    }
 }
 
 /// Synthetic training set from an exact Eq. 5-7 model, small enough that

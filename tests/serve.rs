@@ -181,7 +181,7 @@ fn batched_replies_are_bit_identical_at_any_thread_count() {
 /// The grid-sweep requests (`Pareto`, `BestConfig`) are pinned against a
 /// committed fixture captured *before* the batched-prediction rewire:
 /// serialized replies must stay byte-identical forever, whatever path
-/// (scalar, blocked, SIMD) evaluates the model underneath. Regenerate
+/// (scalar or blocked) evaluates the model underneath. Regenerate
 /// with `GPM_BLESS=1 cargo test pareto_and_best_config` only for a
 /// deliberate, documented protocol change.
 #[test]
