@@ -17,7 +17,8 @@ use std::sync::Mutex;
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that fell through to computation.
+    /// Requests computed because no lookup answered them, as reported
+    /// through [`ShardedLru::note_misses`].
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
@@ -78,7 +79,10 @@ impl ShardedLru {
         &self.shards[idx]
     }
 
-    /// Looks a key up, marking it most-recently-used on a hit.
+    /// Looks a key up, marking it most-recently-used and counting a hit
+    /// when it is present. An absent key counts nothing: a request may
+    /// be looked up again before it is computed, so the caller counts
+    /// its miss once, where it computes it ([`ShardedLru::note_misses`]).
     pub fn get(&self, key: &str) -> Option<Response> {
         let mut shard = self.shard(key).lock().expect("cache shard lock");
         shard.tick += 1;
@@ -89,11 +93,13 @@ impl ShardedLru {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(entry.value.clone())
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            None => None,
         }
+    }
+
+    /// Counts `n` requests computed after every lookup for them missed.
+    pub fn note_misses(&self, n: u64) {
+        self.misses.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Inserts (or refreshes) a computed response, evicting the shard's
@@ -149,10 +155,13 @@ mod tests {
     fn hit_miss_and_eviction_accounting() {
         let cache = ShardedLru::new(1, 1); // single slot: every insert evicts
         assert!(cache.get("a").is_none());
+        assert!(cache.get("a").is_none(), "a re-check misses silently");
+        cache.note_misses(1);
         cache.put("a".to_string(), power(1.0));
         assert_eq!(cache.get("a"), Some(power(1.0)));
         cache.put("b".to_string(), power(2.0));
         assert!(cache.get("a").is_none(), "a was evicted by b");
+        cache.note_misses(1);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2);

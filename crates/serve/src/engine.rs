@@ -100,9 +100,15 @@ impl PureCore {
         )
     }
 
-    /// Prediction-cache lookup.
+    /// Prediction-cache lookup; counts a hit, never a miss.
     pub(crate) fn cache_get(&self, key: &str) -> Option<Response> {
         self.cache.get(key)
+    }
+
+    /// Counts `n` requests computed because no cache lookup answered
+    /// them — once per request, however often it was looked up.
+    pub(crate) fn note_misses(&self, n: u64) {
+        self.cache.note_misses(n);
     }
 
     /// Prediction-cache fill (successes only, by convention).
@@ -252,12 +258,23 @@ impl PredictionEngine {
     /// requests sequentially in arrival order, pure requests fanned
     /// across `gpm-par` workers, replies in request order.
     pub fn process_batch(&mut self, requests: &[Request]) -> Vec<Reply> {
+        let keys = requests.iter().map(|r| self.core.cache_key(r)).collect();
+        self.process_keyed(requests, keys)
+    }
+
+    /// Cache key for `request` under the served model version.
+    pub(crate) fn cache_key(&self, request: &Request) -> String {
+        self.core.cache_key(request)
+    }
+
+    /// [`PredictionEngine::process_batch`] with each request's cache key
+    /// already computed (`keys[i]` belongs to `requests[i]`).
+    pub(crate) fn process_keyed(&mut self, requests: &[Request], keys: Vec<String>) -> Vec<Reply> {
         self.core.note_requests(requests.len() as u64);
         self.batches += 1;
         gpm_obs::counter_add("serve.batches", 1);
         gpm_obs::histogram_record("serve.batch_size", requests.len() as f64);
 
-        let keys: Vec<String> = requests.iter().map(|r| self.core.cache_key(r)).collect();
         let mut slots: Vec<Slot> = Vec::with_capacity(requests.len());
         for (request, key) in requests.iter().zip(&keys) {
             match self.core.cache_get(key) {
@@ -268,6 +285,8 @@ impl PredictionEngine {
                 }),
             }
         }
+        let computed = slots.iter().filter(|s| !matches!(s, Slot::Done(_))).count();
+        self.core.note_misses(computed as u64);
 
         // Phase 1: governor-backed requests, sequential, arrival order.
         let mut governor_replies: HashMap<usize, Reply> = HashMap::new();

@@ -125,6 +125,8 @@ struct PendingReq {
     token: u64,
     id: u64,
     request: crate::request::Request,
+    /// Cache key, computed once at admission.
+    key: String,
     /// Absolute expiry instant from [`ShardConfig::deadline`].
     deadline: Option<Instant>,
 }
@@ -432,7 +434,8 @@ impl Shard {
             return;
         }
         // Cache fast path, any request kind: a hit is served on the
-        // spot, bypassing both the batch and the engine thread.
+        // spot, bypassing both the batch and the engine thread. A miss
+        // is counted where the request is computed, not here.
         let key = self.core.cache_key(&request);
         if let Some(response) = self.core.cache_get(&key) {
             self.core.note_requests(1);
@@ -460,12 +463,16 @@ impl Shard {
                 token,
                 id,
                 request,
+                key,
                 deadline,
             });
         } else {
             let seq = self.gov_seq;
             self.gov_seq += 1;
-            match self.shared.submit(seq, request, self.gov_tx.clone()) {
+            match self
+                .shared
+                .submit(seq, request, Some(key), self.gov_tx.clone())
+            {
                 Some(rejection) => self.complete(token, id, rejection, false),
                 None => {
                     if let Some(conn) = self.conns.get_mut(&token) {
@@ -510,13 +517,9 @@ impl Shard {
             gpm_obs::counter_add("serve.reactor.flushes", 1);
             gpm_obs::histogram_record("serve.batch_size", batch.len() as f64);
 
-            let keys: Vec<String> = batch
+            let mut replies: Vec<Option<Reply>> = batch
                 .iter()
-                .map(|p| self.core.cache_key(&p.request))
-                .collect();
-            let mut replies: Vec<Option<Reply>> = keys
-                .iter()
-                .map(|k| self.core.cache_get(k).map(Reply::Ok))
+                .map(|p| self.core.cache_get(&p.key).map(Reply::Ok))
                 .collect();
             let misses: Vec<usize> = replies
                 .iter()
@@ -525,12 +528,13 @@ impl Shard {
                 .map(|(i, _)| i)
                 .collect();
             let core = &self.core;
+            core.note_misses(misses.len() as u64);
             let computed = par_map_with(self.cfg.fan_width, &misses, |&i| {
                 core.compute(&batch[i].request)
             });
             for (&i, reply) in misses.iter().zip(computed) {
                 if let Reply::Ok(response) = &reply {
-                    core.cache_put(keys[i].clone(), response.clone());
+                    core.cache_put(batch[i].key.clone(), response.clone());
                 }
                 if matches!(reply, Reply::Error { .. }) {
                     core.note_error();

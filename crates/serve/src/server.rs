@@ -109,6 +109,9 @@ pub struct ServeStats {
 struct Job {
     id: u64,
     request: Request,
+    /// Cache key, when the reactor shard that admitted the request has
+    /// already computed it; the engine thread computes the rest.
+    key: Option<String>,
     tx: mpsc::Sender<(u64, Reply)>,
     /// Absolute expiry instant, set at admission from
     /// [`ServerConfig::request_deadline_ms`] (`None` = no deadline).
@@ -141,11 +144,13 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Queue-admission for one request; `Some(reply)` is a rejection.
+    /// Queue-admission for one request (with its cache key, if already
+    /// computed); `Some(reply)` is a rejection.
     pub(crate) fn submit(
         &self,
         id: u64,
         request: Request,
+        key: Option<String>,
         tx: mpsc::Sender<(u64, Reply)>,
     ) -> Option<Reply> {
         if !self.running.load(Ordering::SeqCst) {
@@ -174,6 +179,7 @@ impl Shared {
             .send(Job {
                 id,
                 request,
+                key,
                 tx,
                 deadline,
             })
@@ -355,7 +361,7 @@ impl ServerHandle {
                 // only delays the live ones behind it.
                 let now = std::time::Instant::now();
                 let total = batch.len();
-                let (expired, live): (Vec<Job>, Vec<Job>) =
+                let (expired, mut live): (Vec<Job>, Vec<Job>) =
                     batch.into_iter().partition(|j| j.expired(now));
                 if !expired.is_empty() {
                     gpm_obs::counter_add("serve.deadline_exceeded", expired.len() as u64);
@@ -365,8 +371,12 @@ impl ServerHandle {
                 }
                 if !live.is_empty() {
                     let requests: Vec<Request> = live.iter().map(|j| j.request.clone()).collect();
+                    let keys: Vec<String> = live
+                        .iter_mut()
+                        .map(|j| j.key.take().unwrap_or_else(|| engine.cache_key(&j.request)))
+                        .collect();
                     let started = std::time::Instant::now();
-                    let replies = engine.process_batch(&requests);
+                    let replies = engine.process_keyed(&requests, keys);
                     gpm_obs::histogram_record_duration("serve.batch_service_us", started.elapsed());
                     for (job, reply) in live.into_iter().zip(replies) {
                         // A receiver may have given up; that is its problem.
@@ -528,7 +538,7 @@ impl Client {
     /// return [`Reply::Overloaded`] immediately.
     pub fn call(&self, request: Request) -> Reply {
         let (tx, rx) = mpsc::channel();
-        if let Some(rejection) = self.shared.submit(0, request, tx) {
+        if let Some(rejection) = self.shared.submit(0, request, None, tx) {
             return rejection;
         }
         match rx.recv() {
@@ -575,7 +585,10 @@ impl Client {
         let mut replies: Vec<Option<Reply>> = vec![None; requests.len()];
         let mut admitted = 0usize;
         for (i, request) in requests.iter().enumerate() {
-            match self.shared.submit(i as u64, request.clone(), tx.clone()) {
+            match self
+                .shared
+                .submit(i as u64, request.clone(), None, tx.clone())
+            {
                 Some(rejection) => replies[i] = Some(rejection),
                 None => admitted += 1,
             }
@@ -810,6 +823,7 @@ mod tests {
         let job = Job {
             id: 7,
             request: power_request(),
+            key: None,
             tx,
             deadline: Some(std::time::Instant::now() - Duration::from_millis(1)),
         };
@@ -817,6 +831,7 @@ mod tests {
         let fresh = Job {
             id: 8,
             request: power_request(),
+            key: None,
             tx: {
                 let (tx, _rx) = mpsc::channel();
                 tx
@@ -827,6 +842,7 @@ mod tests {
         let unlimited = Job {
             id: 9,
             request: power_request(),
+            key: None,
             tx: {
                 let (tx, _rx) = mpsc::channel();
                 tx

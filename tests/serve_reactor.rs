@@ -116,6 +116,56 @@ fn tcp_replies_match_the_direct_engine_at_any_shard_count() {
     }
 }
 
+/// Cache accounting over TCP counts each request once: a hit when a
+/// lookup answers it, a miss only where it is computed. The reactor
+/// looks a request up at admission and again before computing it (and
+/// the engine thread re-checks governor-backed ones), so counting every
+/// lookup would report more misses than requests.
+#[test]
+fn tcp_cache_counts_each_request_once() {
+    let config = FreqConfig::from_mhz(975, 3505);
+    let low = FreqConfig::from_mhz(595, 810);
+    let distinct = vec![
+        Request::Power {
+            utilizations: utils(),
+            config,
+        },
+        Request::Power {
+            utilizations: utils(),
+            config: low,
+        },
+        Request::Energy {
+            kernel: "LBM".to_string(),
+            config: low,
+        },
+        Request::Pareto {
+            kernel: "SRAD_1".to_string(),
+            max_points: 0,
+        },
+        Request::BestConfig {
+            kernel: "GEMM".to_string(),
+            objective: Objective::MinEdp,
+        },
+        Request::BestConfig {
+            kernel: "LBM".to_string(),
+            objective: Objective::MinEnergy,
+        },
+    ];
+    let n = distinct.len() as u64;
+    let handle = ServerHandle::bind(engine(), ServerConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = TcpClient::connect(handle.local_addr().unwrap()).unwrap();
+    let first = client.pipeline(&distinct).unwrap();
+    assert!(first.iter().all(Reply::is_ok), "{first:?}");
+    let again = client.pipeline(&distinct).unwrap();
+    assert_eq!(serialize(&again), serialize(&first));
+    drop(client);
+    let (engine, stats) = handle.shutdown();
+    assert_eq!(stats.served, 2 * n);
+    let cache = engine.stats().cache;
+    assert_eq!(cache.misses, n, "one miss per computed request");
+    assert_eq!(cache.hits, n, "one hit per repeated request");
+}
+
 /// A slow-loris connection (a partial length prefix, held open) must
 /// not stall other clients — and once the frame completes, it is
 /// answered like any other.
