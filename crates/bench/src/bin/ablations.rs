@@ -10,47 +10,16 @@
 //! All studies run on the GTX Titan X (the device with the widest V-F
 //! grid) and evaluate on the 26 validation applications.
 
-use gpm_bench::{fit_device, heading, FittedDevice, REPRO_SEED};
-use gpm_core::{
-    fit_joint, AppProfile, Estimator, EstimatorConfig, JointFitConfig, PowerModel, TrainingSet,
+use gpm_bench::{
+    collect_validation, fit_device, heading, validation_mape, FittedDevice, REPRO_SEED,
 };
+use gpm_core::{fit_joint, Estimator, EstimatorConfig, JointFitConfig, PowerModel, TrainingSet};
 use gpm_linalg::stats;
 use gpm_profiler::Profiler;
 use gpm_sim::SimulatedGpu;
-use gpm_spec::{devices, DeviceSpec, FreqConfig};
+use gpm_spec::{devices, FreqConfig};
 use gpm_workloads::validation_suite;
 use std::collections::BTreeMap;
-
-/// Pre-measured validation data: per app, its reference profile and the
-/// measured power grid.
-struct ValidationData {
-    profiles: Vec<AppProfile>,
-    grids: Vec<BTreeMap<FreqConfig, f64>>,
-}
-
-fn collect_validation(spec: &DeviceSpec) -> ValidationData {
-    let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
-    let mut profiler = Profiler::new(&mut gpu);
-    let mut profiles = Vec::new();
-    let mut grids = Vec::new();
-    for app in validation_suite(spec) {
-        profiles.push(profiler.profile_at_reference(&app).unwrap());
-        grids.push(profiler.measure_power_grid(&app).unwrap());
-    }
-    ValidationData { profiles, grids }
-}
-
-fn validation_mape(model: &PowerModel, data: &ValidationData) -> f64 {
-    let mut pred = Vec::new();
-    let mut meas = Vec::new();
-    for (profile, grid) in data.profiles.iter().zip(&data.grids) {
-        for (&config, &watts) in grid {
-            pred.push(model.predict(&profile.utilizations, config).unwrap());
-            meas.push(watts);
-        }
-    }
-    stats::mape(&pred, &meas).unwrap()
-}
 
 fn fit_variant(training: &TrainingSet, config: EstimatorConfig) -> PowerModel {
     Estimator::with_config(config).fit(training).unwrap()

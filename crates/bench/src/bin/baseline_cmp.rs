@@ -8,13 +8,9 @@
 //! aware model wins on every device, by the largest margin where the
 //! frequency/voltage range is widest.
 
-use gpm_bench::{fit_device, heading, REPRO_SEED};
+use gpm_bench::{collect_validation, fit_device, heading, validation_mape};
 use gpm_core::baseline::{BaselineFitStrategy, LinearFreqModel, ScalingClusterModel};
-use gpm_linalg::stats;
-use gpm_profiler::Profiler;
-use gpm_sim::SimulatedGpu;
 use gpm_spec::devices;
-use gpm_workloads::validation_suite;
 
 fn main() {
     heading("Model vs linear-frequency baseline (Abe et al. [14] style)");
@@ -28,31 +24,20 @@ fn main() {
         let base_all =
             LinearFreqModel::fit(&fitted.training, BaselineFitStrategy::AllConfigs).unwrap();
         let clusters = ScalingClusterModel::fit(&fitted.training, 5).unwrap();
-        let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
-        let mut profiler = Profiler::new(&mut gpu);
-
-        let mut model_p = Vec::new();
-        let mut b3_p = Vec::new();
-        let mut ball_p = Vec::new();
-        let mut bk_p = Vec::new();
-        let mut meas = Vec::new();
-        for app in validation_suite(&spec) {
-            let profile = profiler.profile_at_reference(&app).unwrap();
-            for (config, watts) in profiler.measure_power_grid(&app).unwrap() {
-                model_p.push(fitted.model.predict(&profile.utilizations, config).unwrap());
-                b3_p.push(base3.predict(&profile.utilizations, config));
-                ball_p.push(base_all.predict(&profile.utilizations, config));
-                bk_p.push(clusters.predict(&profile.utilizations, config).unwrap());
-                meas.push(watts);
-            }
-        }
+        let data = collect_validation(&spec);
         println!(
             "{:<12} {:>13.1}% {:>15.1}% {:>15.1}% {:>15.1}%",
             spec.name(),
-            stats::mape(&model_p, &meas).unwrap(),
-            stats::mape(&b3_p, &meas).unwrap(),
-            stats::mape(&ball_p, &meas).unwrap(),
-            stats::mape(&bk_p, &meas).unwrap(),
+            validation_mape(&fitted.model, &data),
+            data.report(|p, c| base3.predict(&p.utilizations, c))
+                .mape()
+                .unwrap(),
+            data.report(|p, c| base_all.predict(&p.utilizations, c))
+                .mape()
+                .unwrap(),
+            data.report(|p, c| clusters.predict(&p.utilizations, c).unwrap())
+                .mape()
+                .unwrap(),
         );
     }
     println!(

@@ -6,39 +6,27 @@
 //! 12.4% (Tesla K40c, 1 x 4), with power spanning roughly 40-248 W on
 //! the GTX Titan X.
 
-use gpm_bench::{fit_device, heading, REPRO_SEED};
+use gpm_bench::{collect_validation, fit_device, heading};
 use gpm_linalg::stats;
-use gpm_profiler::Profiler;
-use gpm_sim::SimulatedGpu;
 use gpm_spec::devices;
-use gpm_workloads::validation_suite;
 
 fn main() {
     heading("Figure 7: power prediction for all V-F configurations (validation set)");
     for spec in devices::all() {
         let fitted = fit_device(spec.clone());
-        // A fresh simulated card instance of the same physical device for
-        // validation measurements (distinct RNG stream).
-        let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
-        let mut profiler = Profiler::new(&mut gpu);
-        let apps = validation_suite(&spec);
+        let data = collect_validation(&spec);
 
         let mut pred = Vec::new();
         let mut meas = Vec::new();
         let mut per_app: Vec<(String, f64)> = Vec::new();
-        for app in &apps {
-            let profile = profiler.profile_at_reference(app).unwrap();
-            let grid = profiler.measure_power_grid(app).unwrap();
+        for ((name, profile), grid) in data.names.iter().zip(&data.profiles).zip(&data.grids) {
             let mut app_pred = Vec::new();
             let mut app_meas = Vec::new();
-            for (config, watts) in grid {
+            for (&config, &watts) in grid {
                 app_pred.push(fitted.model.predict(&profile.utilizations, config).unwrap());
                 app_meas.push(watts);
             }
-            per_app.push((
-                app.name().to_string(),
-                stats::mape(&app_pred, &app_meas).unwrap(),
-            ));
+            per_app.push((name.clone(), stats::mape(&app_pred, &app_meas).unwrap()));
             pred.extend(app_pred);
             meas.extend(app_meas);
         }

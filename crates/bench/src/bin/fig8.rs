@@ -6,27 +6,14 @@
 //! 8.7% (810 MHz) — the error grows at the memory level furthest from
 //! the reference configuration — for an overall 6.0%.
 
-use gpm_bench::{fit_device, heading, REPRO_SEED};
+use gpm_bench::{collect_validation, fit_device, heading};
 use gpm_linalg::stats;
-use gpm_profiler::Profiler;
-use gpm_sim::SimulatedGpu;
 use gpm_spec::{devices, FreqConfig};
-use gpm_workloads::validation_suite;
 
 fn main() {
     let spec = devices::gtx_titan_x();
     let fitted = fit_device(spec.clone());
-    let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
-    let mut profiler = Profiler::new(&mut gpu);
-    let apps = validation_suite(&spec);
-
-    // Profile once, measure the full grid once per app.
-    let mut profiles = Vec::new();
-    let mut grids = Vec::new();
-    for app in &apps {
-        profiles.push(profiler.profile_at_reference(app).unwrap());
-        grids.push(profiler.measure_power_grid(app).unwrap());
-    }
+    let data = collect_validation(&spec);
 
     let mut overall_pred = Vec::new();
     let mut overall_meas = Vec::new();
@@ -39,7 +26,7 @@ fn main() {
         let mut panel_pred = Vec::new();
         let mut panel_meas = Vec::new();
         println!("{:<10} {:>12}", "benchmark", "mean error");
-        for ((app, profile), grid) in apps.iter().zip(&profiles).zip(&grids) {
+        for ((name, profile), grid) in data.names.iter().zip(&data.profiles).zip(&data.grids) {
             let mut pred = Vec::new();
             let mut meas = Vec::new();
             for &core in spec.core_freqs() {
@@ -47,11 +34,7 @@ fn main() {
                 pred.push(fitted.model.predict(&profile.utilizations, config).unwrap());
                 meas.push(grid[&config]);
             }
-            println!(
-                "{:<10} {:>10.1}%",
-                app.name(),
-                stats::mpe(&pred, &meas).unwrap()
-            );
+            println!("{:<10} {:>10.1}%", name, stats::mpe(&pred, &meas).unwrap());
             panel_pred.extend_from_slice(&pred);
             panel_meas.extend_from_slice(&meas);
         }

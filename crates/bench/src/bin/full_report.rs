@@ -4,32 +4,10 @@
 //!
 //! Usage: `cargo run --release -p gpm-bench --bin full_report > report.md`
 
-use gpm_bench::{fit_device, FittedDevice, REPRO_SEED};
+use gpm_bench::{collect_validation, fit_device, FittedDevice, ValidationData, REPRO_SEED};
 use gpm_core::baseline::{BaselineFitStrategy, LinearFreqModel, ScalingClusterModel};
 use gpm_core::{cross_validate, AccuracyReport, EstimatorConfig};
-use gpm_profiler::Profiler;
-use gpm_sim::SimulatedGpu;
 use gpm_spec::{devices, DeviceSpec};
-use gpm_workloads::validation_suite;
-
-/// Validates a fitted device on the full unseen-application grid.
-fn validate(spec: &DeviceSpec, fitted: &FittedDevice) -> AccuracyReport {
-    let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
-    let mut profiler = Profiler::new(&mut gpu);
-    let mut report = AccuracyReport::new();
-    for app in validation_suite(spec) {
-        let profile = profiler.profile_at_reference(&app).unwrap();
-        for (config, watts) in profiler.measure_power_grid(&app).unwrap() {
-            report.add(
-                app.name(),
-                config,
-                fitted.model.predict(&profile.utilizations, config).unwrap(),
-                watts,
-            );
-        }
-    }
-    report
-}
 
 fn main() {
     println!("# DVFS-aware GPU power model — evaluation report\n");
@@ -41,10 +19,11 @@ fn main() {
     println!("## Headline accuracy (Fig. 7)\n");
     println!("| device | grid | iterations | train MAPE | validation MAPE | R² | worst app |");
     println!("|---|---|---|---|---|---|---|");
-    let mut titan_x: Option<(DeviceSpec, FittedDevice, AccuracyReport)> = None;
+    let mut titan_x: Option<(DeviceSpec, FittedDevice, ValidationData, AccuracyReport)> = None;
     for spec in devices::all() {
         let fitted = fit_device(spec.clone());
-        let report = validate(&spec, &fitted);
+        let data = collect_validation(&spec);
+        let report = data.report(|p, c| fitted.model.predict(&p.utilizations, c).unwrap());
         let (worst, worst_mape) = report.worst_label().unwrap();
         println!(
             "| {} | {}x{} | {} | {:.1}% | **{:.1}%** | {:.3} | {} ({:.1}%) |",
@@ -59,12 +38,12 @@ fn main() {
             worst_mape
         );
         if spec.name() == "GTX Titan X" {
-            titan_x = Some((spec, fitted, report));
+            titan_x = Some((spec, fitted, data, report));
         }
     }
     println!("\n(paper: 6.9% Titan Xp, 6.0% GTX Titan X, 12.4% Tesla K40c)\n");
 
-    let (spec, fitted, report) = titan_x.expect("titan x evaluated");
+    let (spec, fitted, data, report) = titan_x.expect("titan x evaluated");
 
     println!("## Error by memory level, GTX Titan X (Fig. 8)\n");
     println!("| fmem | MAPE |");
@@ -90,29 +69,8 @@ fn main() {
     println!("\n## Baselines, GTX Titan X (Section VI)\n");
     let base3 = LinearFreqModel::fit(&fitted.training, BaselineFitStrategy::Subset3x3).unwrap();
     let clusters = ScalingClusterModel::fit(&fitted.training, 5).unwrap();
-    let mut b3 = AccuracyReport::new();
-    let mut bk = AccuracyReport::new();
-    {
-        let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
-        let mut profiler = Profiler::new(&mut gpu);
-        for app in validation_suite(&spec) {
-            let profile = profiler.profile_at_reference(&app).unwrap();
-            for (config, watts) in profiler.measure_power_grid(&app).unwrap() {
-                b3.add(
-                    app.name(),
-                    config,
-                    base3.predict(&profile.utilizations, config),
-                    watts,
-                );
-                bk.add(
-                    app.name(),
-                    config,
-                    clusters.predict(&profile.utilizations, config).unwrap(),
-                    watts,
-                );
-            }
-        }
-    }
+    let b3 = data.report(|p, c| base3.predict(&p.utilizations, c));
+    let bk = data.report(|p, c| clusters.predict(&p.utilizations, c).unwrap());
     println!("| model | validation MAPE |");
     println!("|---|---|");
     println!(

@@ -5,11 +5,12 @@
 //! run the measurement campaign, fit the model, evaluate, and print the
 //! same rows/series the paper reports.
 
-use gpm_core::{Estimator, FitReport, PowerModel, TrainingSet};
+use gpm_core::{AccuracyReport, AppProfile, Estimator, FitReport, PowerModel, TrainingSet};
 use gpm_profiler::Profiler;
 use gpm_sim::SimulatedGpu;
-use gpm_spec::DeviceSpec;
-use gpm_workloads::microbenchmark_suite;
+use gpm_spec::{DeviceSpec, FreqConfig};
+use gpm_workloads::{microbenchmark_suite, validation_suite};
+use std::collections::BTreeMap;
 
 /// The seed used by all reproduction binaries, so every figure is
 /// generated from the *same* three simulated cards.
@@ -49,6 +50,85 @@ pub fn fit_device(spec: DeviceSpec) -> FittedDevice {
         model,
         report,
     }
+}
+
+/// Validation measurements of one device: each unseen application of the
+/// validation suite, profiled at the reference configuration and
+/// measured over the whole V-F grid. Index `i` of every field belongs
+/// to the same application, in suite order.
+pub struct ValidationData {
+    /// Application names.
+    pub names: Vec<String>,
+    /// Reference profiles (the utilizations a prediction takes).
+    pub profiles: Vec<AppProfile>,
+    /// Measured power in watts at every configuration.
+    pub grids: Vec<BTreeMap<FreqConfig, f64>>,
+}
+
+impl ValidationData {
+    /// Scores `predict` (watts for an application's reference profile at
+    /// a configuration) against every measurement, labelled by
+    /// application, in application then configuration order.
+    pub fn report(
+        &self,
+        mut predict: impl FnMut(&AppProfile, FreqConfig) -> f64,
+    ) -> AccuracyReport {
+        let mut report = AccuracyReport::new();
+        for ((name, profile), grid) in self.names.iter().zip(&self.profiles).zip(&self.grids) {
+            for (&config, &watts) in grid {
+                report.add(name.as_str(), config, predict(profile, config), watts);
+            }
+        }
+        report
+    }
+}
+
+/// Measures the validation suite on a fresh instance of `spec`'s card:
+/// seed `REPRO_SEED + 1000`, so its measurement noise is independent of
+/// the training campaign's.
+///
+/// # Panics
+///
+/// Panics on any profiling failure.
+pub fn collect_validation(spec: &DeviceSpec) -> ValidationData {
+    let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
+    let mut profiler = Profiler::new(&mut gpu);
+    let mut data = ValidationData {
+        names: Vec::new(),
+        profiles: Vec::new(),
+        grids: Vec::new(),
+    };
+    for app in validation_suite(spec) {
+        data.names.push(app.name().to_string());
+        data.profiles.push(
+            profiler
+                .profile_at_reference(&app)
+                .expect("validation profile succeeds"),
+        );
+        data.grids.push(
+            profiler
+                .measure_power_grid(&app)
+                .expect("validation grid measurement succeeds"),
+        );
+    }
+    data
+}
+
+/// Validation MAPE (%) of `model` over every application and
+/// configuration of `data`.
+///
+/// # Panics
+///
+/// Panics if `data` is empty or holds a configuration off the model's
+/// grid.
+pub fn validation_mape(model: &PowerModel, data: &ValidationData) -> f64 {
+    data.report(|profile, config| {
+        model
+            .predict(&profile.utilizations, config)
+            .expect("validation configurations are on the fitted grid")
+    })
+    .mape()
+    .expect("validation set is not empty")
 }
 
 /// Renders a horizontal ASCII bar of `value` against `max`, `width`
