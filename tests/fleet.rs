@@ -176,6 +176,67 @@ fn fleet_campaign_end_to_end() {
     }
 }
 
+/// Capped campaigns are pinned against a committed fixture: for each of
+/// three caps, the trace digest (which chains every epoch's power,
+/// energy, misses, shed and step count by bit pattern) and the
+/// governor's down-steps per epoch. The tightest cap sheds, so the Off
+/// steps are pinned too. A faster governor must take the very same
+/// steps; regenerate with `GPM_BLESS=1 cargo test --test fleet capped`
+/// only for a deliberate, documented change to the governor's order.
+#[test]
+fn capped_fleet_traces_match_the_golden_fixture() {
+    let config = FleetConfig {
+        nodes: 24,
+        epochs: 6,
+        seed: 11,
+        // The two cheapest grids keep this fast in a debug build.
+        classes: vec!["tesla-k40c".into(), "titan-xp".into()],
+        distinct: 2,
+        launches: 4,
+        fail_rate: 0.2,
+        ..FleetConfig::default()
+    };
+    let sim = FleetSim::prepare(&config).unwrap();
+    let peak = sim.campaign(None).peak_power_w;
+    let mut lines = Vec::new();
+    let mut tightest_shed = 0;
+    for pct in [90u32, 70, 40] {
+        let trace = sim.campaign(Some(peak * f64::from(pct) / 100.0));
+        assert!(trace.cap_respected(), "cap {pct}% violated");
+        let steps: Vec<String> = trace
+            .epochs
+            .iter()
+            .map(|e| e.governor_steps.to_string())
+            .collect();
+        lines.push(format!(
+            "{{\"cap_pct\":{pct},\"digest\":\"{}\",\"governor_steps\":[{}],\"shed\":{}}}",
+            trace.digest,
+            steps.join(","),
+            trace.shed
+        ));
+        tightest_shed = trace.shed;
+    }
+    assert!(tightest_shed > 0, "the tightest cap must shed");
+    let actual = lines.join("\n") + "\n";
+
+    let path =
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fleet_capped.json");
+    if std::env::var("GPM_BLESS").is_ok() {
+        std::fs::write(&path, &actual).expect("write golden capped fleet traces");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); run with GPM_BLESS=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        golden, actual,
+        "capped fleet traces drifted from the fixture"
+    );
+}
+
 /// The JSON trace round-trips losslessly, digest included.
 #[test]
 fn fleet_trace_round_trips_through_json() {
@@ -183,7 +244,7 @@ fn fleet_trace_round_trips_through_json() {
     let config = FleetConfig {
         nodes: 4,
         epochs: 3,
-        classes: vec!["tesla-k40c".into()],
+        classes: vec!["tesla-k40c".into(), "titan-xp".into()],
         distinct: 2,
         launches: 4,
         ..FleetConfig::default()
