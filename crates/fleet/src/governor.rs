@@ -1,6 +1,7 @@
 //! The cluster governor: global power-cap waterfilling over node ladders.
 
 use crate::node::{Ladder, Rung};
+use std::{cmp::Reverse, collections::BinaryHeap};
 
 /// One node's assigned position on its ladder plus the totals of an
 /// assignment round.
@@ -45,6 +46,44 @@ fn totals(ladders: &[&Ladder], positions: Vec<usize>, steps: usize) -> Assignmen
     }
 }
 
+/// A down-step's rank in the governor's order, compared as a tuple: class,
+/// `Δenergy / Δpower` and `Δslowdown / Δpower` (each by `f64::total_cmp`,
+/// via [`total_rank`]), then node index, which makes every key unique.
+type StepKey = (u8, i64, i64, usize);
+
+/// The key of the step from rung `pos` of `node`'s ladder to the rung
+/// below, or `None` once the node is Off.
+fn next_step(ladder: &Ladder, pos: usize, node: usize) -> Option<StepKey> {
+    let (cur, next) = (&ladder.rungs[pos], ladder.rungs.get(pos + 1)?);
+    let d_power = cur.power_w - next.power_w;
+    debug_assert!(d_power > 0.0, "ladder power must strictly decrease");
+    let class: u8 = if next.config.is_none() {
+        2
+    } else if next.miss && !cur.miss {
+        1
+    } else {
+        0
+    };
+    let d_energy = if next.config.is_none() {
+        0.0 // shedding: energy cost is counted by the class
+    } else {
+        (next.energy_j - cur.energy_j) / d_power
+    };
+    let d_slow = if next.time_s.is_finite() {
+        (next.time_s - cur.time_s) / ladder.reference_time_s / d_power
+    } else {
+        0.0
+    };
+    Some((class, total_rank(d_energy), total_rank(d_slow), node))
+}
+
+/// `x` as an integer that orders exactly as `f64::total_cmp` orders
+/// `x`: the sign-dependent bit flip `total_cmp` itself compares by.
+fn total_rank(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// Greedy marginal-energy-per-slowdown waterfilling.
 ///
 /// Every node starts on its desired rung. While the fleet exceeds the
@@ -56,6 +95,10 @@ fn totals(ladders: &[&Ladder], positions: Vec<usize>, steps: usize) -> Assignmen
 /// 2. within a class, smallest marginal energy increase per watt saved
 ///    (`Δenergy / Δpower`), tie-broken by marginal slowdown per watt and
 ///    finally by node index.
+///
+/// Above the cap, a min-heap holds each node's next down-step: O(N) to
+/// build, then O(log N) per step to pop the cheapest and push that
+/// node's next one.
 ///
 /// The chosen step never depends on the cap itself — the cap only
 /// decides *when to stop* — so the step sequence under a tight cap is a
@@ -71,69 +114,24 @@ pub fn assign(ladders: &[&Ladder], cap_w: Option<f64>) -> Assignment {
     let mut power: f64 = ladders.iter().map(|l| l.desired().power_w).sum();
     let mut steps = 0usize;
     let cap = match cap_w {
-        Some(c) => c,
-        None => return totals(ladders, positions, steps),
+        Some(c) if power > c => c,
+        _ => return totals(ladders, positions, steps),
     };
 
+    let mut heap: BinaryHeap<Reverse<StepKey>> = ladders
+        .iter()
+        .enumerate()
+        .filter_map(|(i, ladder)| next_step(ladder, 0, i).map(Reverse))
+        .collect();
     while power > cap {
-        // Scan all nodes for the cheapest next down-step.
-        let mut best: Option<(u8, f64, f64, usize)> = None;
-        for (i, ladder) in ladders.iter().enumerate() {
-            let pos = positions[i];
-            if pos + 1 >= ladder.rungs.len() {
-                continue; // already Off
-            }
-            let cur = &ladder.rungs[pos];
-            let next = &ladder.rungs[pos + 1];
-            let d_power = cur.power_w - next.power_w;
-            debug_assert!(d_power > 0.0, "ladder power must strictly decrease");
-            let class: u8 = if next.config.is_none() {
-                2
-            } else if next.miss && !cur.miss {
-                1
-            } else {
-                0
-            };
-            let d_energy = if next.config.is_none() {
-                0.0 // shedding: energy cost is counted by the class
-            } else {
-                (next.energy_j - cur.energy_j) / d_power
-            };
-            let d_slow = if next.time_s.is_finite() {
-                (next.time_s - cur.time_s) / ladder.reference_time_s / d_power
-            } else {
-                0.0
-            };
-            let key = (class, d_energy, d_slow, i);
-            let better = match &best {
-                None => true,
-                Some((bc, be, bs, bi)) => {
-                    (key.0, key.3)
-                        != (*bc, *bi) // never self-compare
-                        && match key.0.cmp(bc) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Greater => false,
-                            std::cmp::Ordering::Equal => match key.1.total_cmp(be) {
-                                std::cmp::Ordering::Less => true,
-                                std::cmp::Ordering::Greater => false,
-                                std::cmp::Ordering::Equal => match key.2.total_cmp(bs) {
-                                    std::cmp::Ordering::Less => true,
-                                    std::cmp::Ordering::Greater => false,
-                                    std::cmp::Ordering::Equal => key.3 < *bi,
-                                },
-                            },
-                        }
-                }
-            };
-            if better {
-                best = Some(key);
-            }
-        }
-        let (_, _, _, node) = best.expect("a fleet above any cap >= 0 has a live rung to drop");
-        let pos = positions[node];
-        power -= ladders[node].rungs[pos].power_w - ladders[node].rungs[pos + 1].power_w;
+        let Reverse((_, _, _, node)) = heap
+            .pop()
+            .expect("a fleet above any cap >= 0 has a live rung to drop");
+        let (ladder, pos) = (ladders[node], positions[node]);
+        power -= ladder.rungs[pos].power_w - ladder.rungs[pos + 1].power_w;
         positions[node] = pos + 1;
         steps += 1;
+        heap.extend(next_step(ladder, pos + 1, node).map(Reverse));
     }
     totals(ladders, positions, steps)
 }
@@ -213,6 +211,136 @@ mod tests {
             })
             .collect();
         Ladder::build(&candidates, 1.0, deadline_slack)
+    }
+
+    /// The governor before its heap: every step rescans every node for
+    /// the cheapest next down-step. Kept as the reference the heap must
+    /// match step for step.
+    fn scan_assign(ladders: &[&Ladder], cap_w: Option<f64>) -> Assignment {
+        let mut positions = vec![0usize; ladders.len()];
+        let mut power: f64 = ladders.iter().map(|l| l.desired().power_w).sum();
+        let mut steps = 0usize;
+        let cap = match cap_w {
+            Some(c) => c,
+            None => return totals(ladders, positions, steps),
+        };
+
+        while power > cap {
+            // Scan all nodes for the cheapest next down-step.
+            let mut best: Option<(u8, f64, f64, usize)> = None;
+            for (i, ladder) in ladders.iter().enumerate() {
+                let pos = positions[i];
+                if pos + 1 >= ladder.rungs.len() {
+                    continue; // already Off
+                }
+                let cur = &ladder.rungs[pos];
+                let next = &ladder.rungs[pos + 1];
+                let d_power = cur.power_w - next.power_w;
+                let class: u8 = if next.config.is_none() {
+                    2
+                } else if next.miss && !cur.miss {
+                    1
+                } else {
+                    0
+                };
+                let d_energy = if next.config.is_none() {
+                    0.0
+                } else {
+                    (next.energy_j - cur.energy_j) / d_power
+                };
+                let d_slow = if next.time_s.is_finite() {
+                    (next.time_s - cur.time_s) / ladder.reference_time_s / d_power
+                } else {
+                    0.0
+                };
+                let key = (class, d_energy, d_slow, i);
+                let better = match &best {
+                    None => true,
+                    Some((bc, be, bs, bi)) => key
+                        .0
+                        .cmp(bc)
+                        .then(key.1.total_cmp(be))
+                        .then(key.2.total_cmp(bs))
+                        .then(key.3.cmp(bi))
+                        .is_lt(),
+                };
+                if better {
+                    best = Some(key);
+                }
+            }
+            let (_, _, _, node) = best.expect("a fleet above any cap >= 0 has a live rung");
+            let pos = positions[node];
+            power -= ladders[node].rungs[pos].power_w - ladders[node].rungs[pos + 1].power_w;
+            positions[node] = pos + 1;
+            steps += 1;
+        }
+        totals(ladders, positions, steps)
+    }
+
+    /// A random ladder with noisy, roughly monotone power and runtime.
+    fn random_ladder(g: &mut gpm_check::Gen) -> Ladder {
+        let levels = g.usize_in(1..16);
+        let top_power = g.f64_in(60.0, 800.0);
+        let top_time = g.f64_in(0.05, 4.0);
+        let candidates: Vec<VfCandidate> = (0..levels)
+            .map(|i| {
+                let frac = i as f64 / levels as f64;
+                VfCandidate {
+                    config: FreqConfig::from_mhz(1500 - 50 * i as u32, 3505),
+                    power_w: top_power * (1.0 - 0.8 * frac) * g.f64_in(0.9, 1.1),
+                    time_s: top_time * (1.0 + 1.5 * frac) * g.f64_in(0.9, 1.1),
+                }
+            })
+            .collect();
+        Ladder::build(&candidates, top_time, top_time * g.f64_in(0.8, 2.0))
+    }
+
+    #[test]
+    fn heap_takes_the_same_steps_as_the_full_scan() {
+        gpm_check::check("heap_takes_the_same_steps_as_the_full_scan", |g| {
+            // A few distinct ladders, each repeated on up to four nodes:
+            // repeats tie on every key field but the node index.
+            let distinct: Vec<Ladder> = (0..g.usize_in(1..6)).map(|_| random_ladder(g)).collect();
+            let refs: Vec<&Ladder> = (0..g.usize_in(1..24))
+                .map(|_| g.choose(&distinct))
+                .collect();
+            let uncapped = assign(&refs, None).power_w;
+            for _ in 0..4 {
+                let cap = g.f64_in(0.0, uncapped * 1.2);
+                let (heap, scan) = (assign(&refs, Some(cap)), scan_assign(&refs, Some(cap)));
+                assert_eq!(heap.positions, scan.positions, "cap {cap}");
+                assert_eq!(heap.steps, scan.steps, "cap {cap}");
+                assert_eq!(heap.power_w.to_bits(), scan.power_w.to_bits(), "cap {cap}");
+                assert!(heap.power_w <= cap + 1e-9);
+            }
+        });
+    }
+
+    #[test]
+    fn total_rank_orders_like_total_cmp() {
+        let special = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        gpm_check::check("total_rank_orders_like_total_cmp", |g| {
+            let draw = |g: &mut gpm_check::Gen| match g.usize_in(0..3) {
+                0 => *g.choose(&special),
+                1 => g.f64_in(-2.0, 2.0),
+                _ => f64::from_bits(g.u64_any()),
+            };
+            let (a, b) = (draw(g), draw(g));
+            assert_eq!(
+                total_rank(a).cmp(&total_rank(b)),
+                a.total_cmp(&b),
+                "{a} vs {b}"
+            );
+        });
     }
 
     #[test]

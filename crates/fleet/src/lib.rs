@@ -19,8 +19,10 @@
 //!    waterfills the global power cap over the alive nodes' ladders:
 //!    everyone starts at their deadline-aware desired configuration and
 //!    the governor repeatedly takes the cheapest marginal-energy-per-watt
-//!    down-step until the fleet fits under the cap. Ladders end in an
-//!    Off rung, so any cap is satisfiable by shedding load.
+//!    down-step until the fleet fits under the cap. A min-heap of each
+//!    node's next down-step finds that step in O(log N) for N alive
+//!    nodes, not by rescanning the fleet. Ladders end in an Off rung, so
+//!    any cap is satisfiable by shedding load.
 //!
 //! Determinism is a contract: the same [`FleetConfig`] produces a
 //! byte-identical [`FleetTrace`] (chained FNV-1a digests over every
