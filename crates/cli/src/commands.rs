@@ -625,7 +625,11 @@ fn cmd_pareto(args: &ParsedArgs) -> Result<String, CliError> {
         .find(|k| k.name() == app_name)
         .ok_or_else(|| CliError::Usage(format!("unknown application `{app_name}`")))?;
     let mut gpu = SimulatedGpu::new(spec, seed);
-    let frontier = pareto_frontier(&mut gpu, &model, &app).map_err(pipeline)?;
+    let profile = Profiler::with_repeats(&mut gpu, 1)
+        .profile_at_reference(&app)
+        .map_err(pipeline)?;
+    let frontier =
+        pareto_frontier(&mut gpu, &model, &app, &profile.utilizations).map_err(pipeline)?;
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -7,9 +7,8 @@
 //! an objective.
 
 use crate::GovernorError;
-use gpm_core::PowerModel;
+use gpm_core::{PowerModel, Utilizations};
 use gpm_json::impl_json;
-use gpm_profiler::Profiler;
 use gpm_sim::SimulatedGpu;
 use gpm_spec::FreqConfig;
 use gpm_workloads::KernelDesc;
@@ -43,21 +42,20 @@ impl ParetoPoint {
 /// not dominated in *both* runtime and energy, sorted by strictly
 /// ascending runtime (and therefore strictly descending energy).
 /// Runtime is measured by executing the kernel at each configuration
-/// (no power sensor needed); power comes from the model.
+/// (no power sensor needed); power comes from the model at the kernel's
+/// reference-configuration `utilizations` (its
+/// [`gpm_profiler::Profiler::profile_at_reference`] profile).
 ///
 /// # Errors
 ///
-/// Propagates profiling, clock and prediction failures.
+/// Propagates clock and prediction failures.
 pub fn pareto_frontier(
     gpu: &mut SimulatedGpu,
     model: &PowerModel,
     kernel: &KernelDesc,
+    utilizations: &Utilizations,
 ) -> Result<Vec<ParetoPoint>, GovernorError> {
     let spec = gpu.spec().clone();
-    let profile = {
-        let mut profiler = Profiler::with_repeats(gpu, 1);
-        profiler.profile_at_reference(kernel)?
-    };
 
     // Runtimes need the simulated device (clock changes mutate its
     // state), but power is a pure function of the model — so time the
@@ -70,7 +68,7 @@ pub fn pareto_frontier(
         times.push(gpu.execute(kernel).duration_s);
     }
     gpu.set_clocks(spec.default_config())?;
-    let powers = model.predict_batch(&profile.utilizations, &configs)?;
+    let powers = model.predict_batch(utilizations, &configs)?;
     let mut points: Vec<ParetoPoint> = configs
         .iter()
         .zip(&times)
@@ -107,8 +105,21 @@ pub fn pareto_frontier(
 mod tests {
     use super::*;
     use gpm_core::Estimator;
+    use gpm_profiler::Profiler;
     use gpm_spec::devices;
     use gpm_workloads::{microbenchmark_suite, validation_suite};
+
+    /// The frontier of `kernel`, profiled at the reference first.
+    fn frontier(
+        gpu: &mut SimulatedGpu,
+        model: &PowerModel,
+        kernel: &KernelDesc,
+    ) -> Vec<ParetoPoint> {
+        let profile = Profiler::with_repeats(gpu, 1)
+            .profile_at_reference(kernel)
+            .unwrap();
+        pareto_frontier(gpu, model, kernel, &profile.utilizations).unwrap()
+    }
 
     fn setup() -> (SimulatedGpu, PowerModel) {
         let spec = devices::gtx_titan_x();
@@ -125,7 +136,7 @@ mod tests {
         let (mut gpu, model) = setup();
         let apps = validation_suite(gpu.spec());
         let app = apps.iter().find(|k| k.name() == "SRAD_1").unwrap();
-        let frontier = pareto_frontier(&mut gpu, &model, app).unwrap();
+        let frontier = frontier(&mut gpu, &model, app);
         assert!(
             frontier.len() >= 2,
             "a real kernel has a non-trivial frontier"
@@ -142,7 +153,7 @@ mod tests {
         let (mut gpu, model) = setup();
         let apps = validation_suite(gpu.spec());
         let app = apps.iter().find(|k| k.name() == "GEMM").unwrap();
-        let frontier = pareto_frontier(&mut gpu, &model, app).unwrap();
+        let frontier = frontier(&mut gpu, &model, app);
         let spec = gpu.spec().clone();
         gpu.set_clocks(spec.fastest_config()).unwrap();
         let fastest_time = gpu.execute(app).duration_s;
@@ -157,7 +168,7 @@ mod tests {
         let (mut gpu, model) = setup();
         let apps = validation_suite(gpu.spec());
         let app = apps.iter().find(|k| k.name() == "LBM").unwrap();
-        let frontier = pareto_frontier(&mut gpu, &model, app).unwrap();
+        let frontier = frontier(&mut gpu, &model, app);
         // Re-evaluate the full grid and verify no point dominates a
         // frontier point: none is at least as fast and cheaper, or
         // faster and at most as hungry. Equal runtime counts as fast.

@@ -161,6 +161,15 @@ impl<'g, G: GpuDevice> Profiler<'g, G> {
         }
     }
 
+    /// Uses an already-known L2 peak bandwidth, in bytes per core cycle,
+    /// instead of discovering it on first use. Callers that profile many
+    /// kernels on clones of one device discover the peak once (through
+    /// [`Profiler::l2_bytes_per_cycle`]) and pass it here.
+    pub fn with_l2_bytes_per_cycle(mut self, l2_bytes_per_cycle: f64) -> Self {
+        self.l2_bytes_per_cycle = Some(l2_bytes_per_cycle);
+        self
+    }
+
     /// Overrides the reference configuration at which events are
     /// collected (defaults to the device's default configuration). The
     /// paper's methodology only requires "a single configuration" — this
@@ -450,6 +459,35 @@ mod tests {
         // Maxwell per-metric event bias (sd 0.025, ~+8% at three sigma).
         assert!(bpc <= truth * 1.09, "bpc {bpc} vs truth {truth}");
         assert!(bpc >= truth * 0.85, "bpc {bpc} vs truth {truth}");
+    }
+
+    #[test]
+    fn a_known_l2_peak_profiles_like_discovering_it_first() {
+        // Discovery advances the device's measurement RNG; a clone of the
+        // advanced device profiled with the known peak sees the same state
+        // a profile that discovers the peak itself goes on to use.
+        let mut gpu = SimulatedGpu::new(devices::gtx_titan_x(), 5);
+        let apps = validation_suite(gpu.spec());
+        let mut fresh = gpu.clone();
+        let l2 = Profiler::with_repeats(&mut gpu, 1)
+            .l2_bytes_per_cycle(None)
+            .unwrap();
+        for app in &apps[..3] {
+            let mut a = fresh.clone();
+            let discovered = Profiler::with_repeats(&mut a, 1)
+                .profile_at_reference(app)
+                .unwrap();
+            let mut b = gpu.clone();
+            let known = Profiler::with_repeats(&mut b, 1)
+                .with_l2_bytes_per_cycle(l2)
+                .profile_at_reference(app)
+                .unwrap();
+            assert_eq!(known, discovered, "{}", app.name());
+        }
+        let fresh_l2 = Profiler::with_repeats(&mut fresh, 1)
+            .l2_bytes_per_cycle(None)
+            .unwrap();
+        assert_eq!(fresh_l2, l2);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::cache::{CacheStats, ShardedLru};
 use crate::request::{Reply, Request, Response};
-use gpm_core::PowerModel;
+use gpm_core::{PowerModel, Utilizations};
 use gpm_dvfs::{pareto_frontier, Governor, GovernorState, GovernorStats};
 use gpm_json::ToJson;
 use gpm_profiler::Profiler;
@@ -79,9 +79,14 @@ pub struct EngineStats {
 pub(crate) struct PureCore {
     model: PowerModel,
     version: String,
-    /// Initial device state; pure requests clone this, so every request
-    /// sees identical measurement-noise state regardless of schedule.
+    /// Device state after the one L2 peak discovery; pure requests clone
+    /// this, so every request sees identical measurement-noise state
+    /// regardless of schedule.
     snapshot: SimulatedGpu,
+    /// The L2 peak discovered on the initial device, in bytes per core
+    /// cycle (or the discovery's error, which every profiling request
+    /// then reports).
+    l2_bytes_per_cycle: Result<f64, String>,
     kernels: HashMap<String, KernelDesc>,
     cache: ShardedLru,
     requests: AtomicU64,
@@ -125,10 +130,71 @@ impl PureCore {
 
     /// Computes a pure request on a pristine snapshot clone.
     pub(crate) fn compute(&self, request: &Request) -> Reply {
-        match pure_compute(&self.model, &self.snapshot, &self.kernels, request) {
+        match self.pure_compute(request) {
             Ok(response) => Reply::Ok(response),
             Err(message) => Reply::Error { message },
         }
+    }
+
+    /// [`PureCore::compute`]'s response or error message. Everything here
+    /// depends only on (model, snapshot seed, request), so the result is
+    /// independent of batch composition and thread schedule.
+    fn pure_compute(&self, request: &Request) -> Result<Response, String> {
+        match request {
+            Request::Power {
+                utilizations,
+                config,
+            } => {
+                let watts = self
+                    .model
+                    .predict(utilizations, *config)
+                    .map_err(|e| e.to_string())?;
+                Ok(Response::Power { watts })
+            }
+            Request::Energy { kernel, config } => {
+                let (mut gpu, kernel, utilizations) = self.profile(kernel)?;
+                let power_w = self
+                    .model
+                    .predict(&utilizations, *config)
+                    .map_err(|e| e.to_string())?;
+                gpu.set_clocks(*config).map_err(|e| e.to_string())?;
+                let time_s = gpu.execute(kernel).duration_s;
+                Ok(Response::Energy {
+                    joules: power_w * time_s,
+                    time_s,
+                    power_w,
+                })
+            }
+            Request::Pareto { kernel, max_points } => {
+                let (mut gpu, kernel, utilizations) = self.profile(kernel)?;
+                let mut points = pareto_frontier(&mut gpu, &self.model, kernel, &utilizations)
+                    .map_err(|e| e.to_string())?;
+                if *max_points > 0 {
+                    points.truncate(*max_points);
+                }
+                Ok(Response::Pareto { points })
+            }
+            Request::BestConfig { .. } => {
+                Err("BestConfig is governor-backed, not pure".to_string())
+            }
+        }
+    }
+
+    /// Profiles the named kernel at the reference configuration on a
+    /// fresh snapshot clone, with the L2 peak discovered at construction;
+    /// returns the clone for the request's further measurements.
+    fn profile(&self, name: &str) -> Result<(SimulatedGpu, &KernelDesc, Utilizations), String> {
+        let kernel = self
+            .kernels
+            .get(name)
+            .ok_or_else(|| format!("unknown kernel `{name}` (not in the serving suites)"))?;
+        let l2_bytes_per_cycle = self.l2_bytes_per_cycle.clone()?;
+        let mut gpu = self.snapshot.clone();
+        let profile = Profiler::with_repeats(&mut gpu, 1)
+            .with_l2_bytes_per_cycle(l2_bytes_per_cycle)
+            .profile_at_reference(kernel)
+            .map_err(|e| e.to_string())?;
+        Ok((gpu, kernel, profile.utilizations))
     }
 
     /// Counts `n` requests entering the service.
@@ -175,6 +241,13 @@ impl PredictionEngine {
     pub fn new(model: PowerModel, version: &str, config: &EngineConfig) -> Self {
         let spec = model.spec().clone();
         let gpu = SimulatedGpu::new(spec.clone(), config.seed);
+        // Discover the L2 peak once. Each profile used to repeat this on
+        // its own snapshot clone, which left the device exactly where
+        // `snapshot` starts now.
+        let mut snapshot = gpu.clone();
+        let l2_bytes_per_cycle = Profiler::with_repeats(&mut snapshot, 1)
+            .l2_bytes_per_cycle(None)
+            .map_err(|e| e.to_string());
         let mut kernels = HashMap::new();
         // Microbenchmarks first so validation kernels win name clashes.
         for k in microbenchmark_suite(&spec) {
@@ -187,7 +260,8 @@ impl PredictionEngine {
             core: Arc::new(PureCore {
                 model,
                 version: version.to_string(),
-                snapshot: gpu.clone(),
+                snapshot,
+                l2_bytes_per_cycle,
                 kernels,
                 cache: ShardedLru::new(config.cache_capacity, config.cache_shards),
                 requests: AtomicU64::new(0),
@@ -362,59 +436,6 @@ impl PredictionEngine {
 fn unknown_kernel(name: &str) -> Reply {
     Reply::Error {
         message: format!("unknown kernel `{name}` (not in the serving suites)"),
-    }
-}
-
-/// Computes a pure request on a fresh clone of the pristine snapshot.
-/// Everything here depends only on (model, snapshot seed, request), so
-/// the result is independent of batch composition and thread schedule.
-fn pure_compute(
-    model: &PowerModel,
-    snapshot: &SimulatedGpu,
-    kernels: &HashMap<String, KernelDesc>,
-    request: &Request,
-) -> Result<Response, String> {
-    match request {
-        Request::Power {
-            utilizations,
-            config,
-        } => {
-            let watts = model
-                .predict(utilizations, *config)
-                .map_err(|e| e.to_string())?;
-            Ok(Response::Power { watts })
-        }
-        Request::Energy { kernel, config } => {
-            let kernel = kernels
-                .get(kernel)
-                .ok_or_else(|| format!("unknown kernel `{kernel}` (not in the serving suites)"))?;
-            let mut gpu = snapshot.clone();
-            let profile = Profiler::with_repeats(&mut gpu, 1)
-                .profile_at_reference(kernel)
-                .map_err(|e| e.to_string())?;
-            let power_w = model
-                .predict(&profile.utilizations, *config)
-                .map_err(|e| e.to_string())?;
-            gpu.set_clocks(*config).map_err(|e| e.to_string())?;
-            let time_s = gpu.execute(kernel).duration_s;
-            Ok(Response::Energy {
-                joules: power_w * time_s,
-                time_s,
-                power_w,
-            })
-        }
-        Request::Pareto { kernel, max_points } => {
-            let kernel = kernels
-                .get(kernel)
-                .ok_or_else(|| format!("unknown kernel `{kernel}` (not in the serving suites)"))?;
-            let mut gpu = snapshot.clone();
-            let mut points = pareto_frontier(&mut gpu, model, kernel).map_err(|e| e.to_string())?;
-            if *max_points > 0 {
-                points.truncate(*max_points);
-            }
-            Ok(Response::Pareto { points })
-        }
-        Request::BestConfig { .. } => Err("BestConfig is governor-backed, not pure".to_string()),
     }
 }
 

@@ -21,7 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .find(|k| k.name() == name)
             .expect("app in validation suite");
-        let frontier = pareto_frontier(&mut gpu, &model, app)?;
+        let profile = Profiler::with_repeats(&mut gpu, 1).profile_at_reference(app)?;
+        let frontier = pareto_frontier(&mut gpu, &model, app, &profile.utilizations)?;
         println!(
             "\n{name}: {} Pareto-optimal configurations (of {}):",
             frontier.len(),

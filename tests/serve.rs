@@ -165,13 +165,17 @@ fn batched_replies_are_bit_identical_at_any_thread_count() {
         .unwrap()
     );
 
-    // Pareto = pareto_frontier on a fresh device.
+    // Pareto = profile at reference, then pareto_frontier, on a fresh
+    // device.
     let srad = validation_suite(&spec)
         .into_iter()
         .find(|k| k.name() == "SRAD_1")
         .unwrap();
     let mut gpu = SimulatedGpu::new(spec.clone(), seed);
-    let points = pareto_frontier(&mut gpu, &model, &srad).unwrap();
+    let profile = Profiler::with_repeats(&mut gpu, 1)
+        .profile_at_reference(&srad)
+        .unwrap();
+    let points = pareto_frontier(&mut gpu, &model, &srad, &profile.utilizations).unwrap();
     assert_eq!(
         per_thread_count[0][3],
         gpm::json::to_string(&Reply::Ok(Response::Pareto { points })).unwrap()
