@@ -9,7 +9,9 @@
 //!   count doubles up to 2,000 nodes across all six device classes.
 //! - **Cap study** — on the 2,000-node fleet, a cap sweep at fractions
 //!   of the uncapped peak: every epoch must come in at or under its cap,
-//!   and the energy saved versus the all-reference baseline is recorded.
+//!   and the energy saved versus the all-reference baseline is recorded
+//!   with the wall-clock time of each cap's campaign (the governor's
+//!   cost; the scaling rows' campaigns are uncapped).
 //!
 //! `--gate` runs the CI smoke variant: a small fault-ridden fleet,
 //! thread-count byte-identity at 1 and 4 threads, and cap adherence —
@@ -67,6 +69,7 @@ struct CapRow {
     saved_vs_baseline_pct: f64,
     misses: usize,
     shed: usize,
+    campaign_s: f64,
 }
 
 impl_json!(struct CapRow {
@@ -78,6 +81,7 @@ impl_json!(struct CapRow {
     saved_vs_baseline_pct,
     misses,
     shed,
+    campaign_s,
 });
 
 struct CapStudy {
@@ -102,13 +106,21 @@ impl_json!(struct CapStudy {
 
 struct FleetBenchReport {
     seed: u64,
+    available_parallelism: usize,
     classes: Vec<String>,
     determinism: DeterminismReport,
     scaling: Vec<ScalingRow>,
     cap_study: CapStudy,
 }
 
-impl_json!(struct FleetBenchReport { seed, classes, determinism, scaling, cap_study });
+impl_json!(struct FleetBenchReport {
+    seed,
+    available_parallelism,
+    classes,
+    determinism,
+    scaling,
+    cap_study,
+});
 
 /// The fault-ridden configuration the determinism study runs: failures
 /// and degraded sensors must not break byte-identity.
@@ -188,12 +200,14 @@ fn determinism_study(nodes: usize, epochs: usize, threads: &[usize]) -> Determin
 fn cap_study(sim: &FleetSim, uncapped: &FleetTrace) -> CapStudy {
     let mut rows = Vec::new();
     println!(
-        "{:>10} {:>10} {:>12} {:>9} {:>7} {:>6}  ok",
-        "cap W", "peak W", "energy J", "saved %", "misses", "shed"
+        "{:>10} {:>10} {:>12} {:>9} {:>7} {:>6} {:>10}  ok",
+        "cap W", "peak W", "energy J", "saved %", "misses", "shed", "campaign"
     );
     for frac in CAP_FRACTIONS {
         let cap = uncapped.peak_power_w * frac;
+        let t0 = Instant::now();
         let trace = sim.campaign(Some(cap));
+        let campaign_s = t0.elapsed().as_secs_f64();
         assert!(
             trace.cap_respected(),
             "epoch over cap at {frac} x uncapped peak"
@@ -207,15 +221,17 @@ fn cap_study(sim: &FleetSim, uncapped: &FleetTrace) -> CapStudy {
             saved_vs_baseline_pct: trace.savings_pct,
             misses: trace.misses,
             shed: trace.shed,
+            campaign_s,
         };
         println!(
-            "{:>10.0} {:>10.0} {:>12.0} {:>9.1} {:>7} {:>6}  {}",
+            "{:>10.0} {:>10.0} {:>12.0} {:>9.1} {:>7} {:>6} {:>9.4}s  {}",
             row.cap_w,
             row.peak_epoch_power_w,
             row.energy_j,
             row.saved_vs_baseline_pct,
             row.misses,
             row.shed,
+            row.campaign_s,
             row.cap_respected
         );
         rows.push(row);
@@ -317,6 +333,9 @@ fn main() {
 
     let report = FleetBenchReport {
         seed: REPRO_SEED,
+        available_parallelism: std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1),
         classes: gpm_fleet::CLASS_SLUGS
             .iter()
             .map(|s| s.to_string())
