@@ -298,12 +298,23 @@ mod tests {
     #[test]
     fn heap_takes_the_same_steps_as_the_full_scan() {
         gpm_check::check("heap_takes_the_same_steps_as_the_full_scan", |g| {
-            // A few distinct ladders, each repeated on up to four nodes:
-            // repeats tie on every key field but the node index.
+            // A few distinct ladders shared by up to 23 nodes. A node's copy
+            // either repeats its ladder exactly, tying on every key field but
+            // the node index, or gets another reference time, tying on class
+            // and Δenergy/Δpower only. A negative reference time (unphysical,
+            // but still valid input) makes Δslowdown/Δpower negative, where
+            // `total_cmp` orders differently from the raw bits.
             let distinct: Vec<Ladder> = (0..g.usize_in(1..6)).map(|_| random_ladder(g)).collect();
-            let refs: Vec<&Ladder> = (0..g.usize_in(1..24))
-                .map(|_| g.choose(&distinct))
+            let ladders: Vec<Ladder> = (0..g.usize_in(1..24))
+                .map(|_| {
+                    let mut ladder = g.choose(&distinct).clone();
+                    if g.bool() {
+                        ladder.reference_time_s *= g.f64_in(-2.0, 2.0);
+                    }
+                    ladder
+                })
                 .collect();
+            let refs: Vec<&Ladder> = ladders.iter().collect();
             let uncapped = assign(&refs, None).power_w;
             for _ in 0..4 {
                 let cap = g.f64_in(0.0, uncapped * 1.2);
