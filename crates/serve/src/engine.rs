@@ -241,9 +241,9 @@ impl PredictionEngine {
     pub fn new(model: PowerModel, version: &str, config: &EngineConfig) -> Self {
         let spec = model.spec().clone();
         let gpu = SimulatedGpu::new(spec.clone(), config.seed);
-        // Discover the L2 peak once. Each profile used to repeat this on
-        // its own snapshot clone, which left the device exactly where
-        // `snapshot` starts now.
+        // Discover the L2 peak once, on a clone of the initial device.
+        // Pure requests start from that advanced clone: the very state a
+        // profile that ran its own discovery would have reached.
         let mut snapshot = gpu.clone();
         let l2_bytes_per_cycle = Profiler::with_repeats(&mut snapshot, 1)
             .l2_bytes_per_cycle(None)
