@@ -29,18 +29,33 @@ impl NnlsWorkspace {
     }
 }
 
-/// [`nnls`] reusing a caller-owned [`NnlsWorkspace`].
+/// [`nnls`] from the starting passive set `start` (column indices),
+/// reusing a caller-owned [`NnlsWorkspace`].
+///
+/// The solve first does least squares on `start`, dropping every
+/// coordinate that is not strictly positive until the solution is, and
+/// falls back to the empty set if a subset is singular. The
+/// Lawson–Hanson loop then runs from that feasible point. It returns the
+/// same KKT point as the cold solve [`nnls`], and because Lawson–Hanson
+/// always returns the least-squares solution on its final passive set,
+/// the result is bit-identical to the cold solve whenever that point's
+/// support is unique. With full column rank the solution is unique, and
+/// so is its support unless a coordinate sits at zero with a zero
+/// gradient (within the solver's tolerances). A start set near the final
+/// one saves most of the active-set steps: the estimator passes the
+/// support of the previous iterate.
 ///
 /// Returns the solution as a slice borrowed from the workspace; copy it
-/// out before the next solve. Performs bit-identical arithmetic to
-/// [`nnls`]: same active-set order, same tolerances, same step-back rule.
+/// out before the next solve.
 ///
 /// # Errors
 ///
-/// Same conditions as [`nnls`].
+/// Same conditions as [`nnls`], plus
+/// [`LinalgError::DimensionMismatch`] if a start index is not a column.
 pub fn nnls_with<'ws>(
     a: &Matrix,
     b: &[f64],
+    start: &[usize],
     ws: &'ws mut NnlsWorkspace,
 ) -> Result<&'ws [f64], LinalgError> {
     let m = a.rows();
@@ -49,6 +64,12 @@ pub fn nnls_with<'ws>(
         return Err(LinalgError::DimensionMismatch {
             expected: format!("rhs of length {m}"),
             got: format!("length {}", b.len()),
+        });
+    }
+    if let Some(&j) = start.iter().find(|&&j| j >= n) {
+        return Err(LinalgError::DimensionMismatch {
+            expected: format!("start columns below {n}"),
+            got: format!("column {j}"),
         });
     }
     if !a.is_finite() || b.iter().any(|x| !x.is_finite()) {
@@ -73,7 +94,39 @@ pub fn nnls_with<'ws>(
     passive.clear();
     passive.resize(n, false);
     let tol = 1e-10 * a.max_abs().max(1.0) * b.iter().fold(1.0f64, |s, v| s.max(v.abs()));
+    let positive = tol.min(1e-12);
     let max_outer = 3 * n + 30;
+
+    // Warm start: least squares on the start set, shrunk to its strictly
+    // positive coordinates, gives a feasible point with x > 0 exactly on
+    // the passive set, which is all the loop below assumes.
+    for &j in start {
+        passive[j] = true;
+    }
+    loop {
+        idx.clear();
+        idx.extend((0..n).filter(|&j| passive[j]));
+        if idx.is_empty() {
+            break;
+        }
+        a.select_cols_into(idx, sub);
+        let Ok(z_sub) = lstsq_with(sub, b, lws) else {
+            // A singular (or wider than tall) subset: start cold.
+            passive.fill(false);
+            break;
+        };
+        if z_sub.iter().all(|&v| v > positive) {
+            for (&j, &v) in idx.iter().zip(z_sub) {
+                x[j] = v;
+            }
+            break;
+        }
+        for (&j, &v) in idx.iter().zip(z_sub) {
+            if v <= positive {
+                passive[j] = false;
+            }
+        }
+    }
 
     for _ in 0..max_outer {
         // Gradient of 0.5||Ax-b||²: w = Aᵀ(b - Ax).
@@ -118,7 +171,7 @@ pub fn nnls_with<'ws>(
             for (k, &j) in idx.iter().enumerate() {
                 z[j] = z_sub[k];
             }
-            if idx.iter().all(|&j| z[j] > tol.min(1e-12)) {
+            if idx.iter().all(|&j| z[j] > positive) {
                 std::mem::swap(x, z);
                 inner_ok = true;
                 break;
@@ -132,7 +185,7 @@ pub fn nnls_with<'ws>(
             }
             for j in 0..n {
                 x[j] += alpha * (z[j] - x[j]);
-                if passive[j] && x[j] <= tol.min(1e-12) {
+                if passive[j] && x[j] <= positive {
                     x[j] = 0.0;
                     passive[j] = false;
                 }
@@ -167,6 +220,9 @@ pub fn nnls_with<'ws>(
 /// - [`LinalgError::NoConvergence`] if the active-set loop exceeds its
 ///   iteration cap (does not occur for well-posed problems).
 ///
+/// This is the cold solve, from an empty passive set; [`nnls_with`]
+/// starts from a given set and reaches the same point.
+///
 /// # Example
 ///
 /// ```
@@ -180,8 +236,7 @@ pub fn nnls_with<'ws>(
 /// # Ok::<(), gpm_linalg::LinalgError>(())
 /// ```
 pub fn nnls(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let mut ws = NnlsWorkspace::new();
-    nnls_with(a, b, &mut ws).map(<[f64]>::to_vec)
+    nnls_with(a, b, &[], &mut NnlsWorkspace::new()).map(<[f64]>::to_vec)
 }
 
 #[cfg(test)]
@@ -197,9 +252,9 @@ mod tests {
         let a2 = Matrix::from_fn(6, 3, |i, j| ((i * 3 + j) % 5) as f64 + 0.5);
         let b2: Vec<f64> = (0..6).map(|i| i as f64 - 1.0).collect();
         for _ in 0..3 {
-            let x1 = nnls_with(&a1, &b1, &mut ws).unwrap().to_vec();
+            let x1 = nnls_with(&a1, &b1, &[], &mut ws).unwrap().to_vec();
             assert_eq!(x1, nnls(&a1, &b1).unwrap());
-            let x2 = nnls_with(&a2, &b2, &mut ws).unwrap().to_vec();
+            let x2 = nnls_with(&a2, &b2, &[], &mut ws).unwrap().to_vec();
             assert_eq!(x2, nnls(&a2, &b2).unwrap());
         }
     }
@@ -280,8 +335,163 @@ mod tests {
         assert!(r < 1e-12, "residual {r}, x = {x:?}");
     }
 
+    #[test]
+    fn start_sets_that_cannot_be_solved_fall_back_to_the_cold_start() {
+        let mut ws = NnlsWorkspace::new();
+        // More start columns than rows: no least-squares solution.
+        let wide = Matrix::from_rows(&[
+            vec![1.0, 0.0, 0.0, 1.0, 0.5],
+            vec![0.0, 1.0, 0.0, 1.0, 0.5],
+            vec![0.0, 0.0, 1.0, 1.0, 0.5],
+        ])
+        .unwrap();
+        let b = [1.0, 2.0, 3.0];
+        let x = nnls_with(&wide, &b, &[0, 1, 2, 3, 4], &mut ws).unwrap();
+        assert_eq!(x, nnls(&wide, &b).unwrap());
+        // A start column outside the design is a shape error.
+        assert!(matches!(
+            nnls_with(&wide, &b, &[5], &mut ws),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+    }
+
     mod prop {
         use super::*;
+        use gpm_check::Gen;
+
+        fn bits(x: &[f64]) -> Vec<u64> {
+            x.iter().map(|v| v.to_bits()).collect()
+        }
+
+        fn support(x: &[f64]) -> Vec<usize> {
+            (0..x.len()).filter(|&j| x[j] > 0.0).collect()
+        }
+
+        /// Entries in [-1, 1] plus 3 on a repeating diagonal: full
+        /// column rank, and so is every column subset.
+        fn full_rank_design(g: &mut Gen, rows: usize, cols: usize) -> Matrix {
+            Matrix::from_fn(rows, cols, |i, j| {
+                g.f64_in(-1.0, 1.0) + if i % cols == j { 3.0 } else { 0.0 }
+            })
+        }
+
+        /// `b = A·truth + noise`, with `truth` drawn from [-0.5, 2] so
+        /// some coordinates end on the boundary.
+        fn noisy_rhs(g: &mut Gen, a: &Matrix, truth: &[f64]) -> Vec<f64> {
+            let mut b = a.mat_vec(truth).unwrap();
+            for v in &mut b {
+                *v += g.f64_in(-0.01, 0.01);
+            }
+            b
+        }
+
+        /// `x ≥ 0`, zero gradient on the support and no descent direction
+        /// off it.
+        fn assert_kkt(a: &Matrix, b: &[f64], x: &[f64]) {
+            assert!(x.iter().all(|&v| v >= 0.0), "infeasible {x:?}");
+            let ax = a.mat_vec(x).unwrap();
+            let resid: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
+            let w = a.transpose().mat_vec(&resid).unwrap();
+            let scale = a.max_abs() * b.iter().fold(1.0f64, |s, v| s.max(v.abs()));
+            for (j, &wj) in w.iter().enumerate() {
+                if x[j] > 1e-9 {
+                    assert!(wj.abs() <= 1e-6 * scale.max(1.0), "passive grad {wj}");
+                } else {
+                    assert!(wj <= 1e-6 * scale.max(1.0), "active grad {wj}");
+                }
+            }
+        }
+
+        #[test]
+        fn warm_starts_match_the_cold_solve_bit_for_bit() {
+            gpm_check::check("warm_starts_match_the_cold_solve_bit_for_bit", |g| {
+                let cols = g.usize_in(1..12);
+                let rows = cols + g.usize_in(1..40);
+                let a = full_rank_design(g, rows, cols);
+                // Half the cases plant a clearly negative coordinate, so
+                // the full start set is infeasible.
+                let negative = (cols > 1 && g.bool()).then(|| g.usize_in(0..cols));
+                let truth: Vec<f64> = (0..cols)
+                    .map(|j| {
+                        if Some(j) == negative {
+                            -g.f64_in(0.5, 2.0)
+                        } else {
+                            g.f64_in(-0.5, 2.0)
+                        }
+                    })
+                    .collect();
+                let b = noisy_rhs(g, &a, &truth);
+                if let Some(j) = negative {
+                    let free = crate::lstsq(&a, &b).unwrap();
+                    assert!(free[j] < 0.0, "full start set should be infeasible");
+                }
+                let cold = nnls(&a, &b).unwrap();
+                let starts = [
+                    Vec::new(),
+                    (0..cols).collect(),
+                    (0..cols).filter(|_| g.bool()).collect(),
+                    support(&cold),
+                    (0..cols).filter(|&j| cold[j] == 0.0).collect(),
+                ];
+                let mut ws = NnlsWorkspace::new();
+                for start in &starts {
+                    let warm = nnls_with(&a, &b, start, &mut ws).unwrap();
+                    assert_eq!(bits(warm), bits(&cold), "start {start:?}");
+                }
+
+                // A run of slowly drifting designs, each solve started
+                // from the previous solution's support, as the
+                // estimator's alternation does.
+                let drift = Matrix::from_fn(rows, cols, |_, _| g.f64_in(-2e-3, 2e-3));
+                let mut a_t = a.clone();
+                let mut prev = cold;
+                for _ in 0..8 {
+                    for i in 0..rows {
+                        for j in 0..cols {
+                            a_t[(i, j)] += drift[(i, j)];
+                        }
+                    }
+                    let cold_t = nnls(&a_t, &b).unwrap();
+                    let warm_t = nnls_with(&a_t, &b, &support(&prev), &mut ws).unwrap();
+                    assert_eq!(bits(warm_t), bits(&cold_t), "drifting run");
+                    prev = cold_t;
+                }
+            });
+        }
+
+        #[test]
+        fn warm_starts_on_duplicate_columns_stay_feasible_and_kkt() {
+            gpm_check::check(
+                "warm_starts_on_duplicate_columns_stay_feasible_and_kkt",
+                |g| {
+                    let cols = g.usize_in(2..8);
+                    let rows = cols + g.usize_in(1..20);
+                    let mut a = full_rank_design(g, rows, cols);
+                    let c = g.usize_in(0..cols);
+                    let d = (c + g.usize_in(1..cols)) % cols;
+                    for i in 0..rows {
+                        a[(i, d)] = a[(i, c)];
+                    }
+                    let truth: Vec<f64> = (0..cols).map(|_| g.f64_in(-0.5, 2.0)).collect();
+                    let b = noisy_rhs(g, &a, &truth);
+                    let mut start: Vec<usize> = (0..cols).filter(|_| g.bool()).collect();
+                    let singular = g.bool();
+                    if singular {
+                        start.extend([c, d]);
+                    }
+                    let mut ws = NnlsWorkspace::new();
+                    let x = nnls_with(&a, &b, &start, &mut ws).unwrap();
+                    // The split between the two copies is not unique, so
+                    // only optimality is asserted ...
+                    assert_kkt(&a, &b, x);
+                    if singular {
+                        // ... except from a singular start set, which
+                        // falls back to the cold solve.
+                        assert_eq!(bits(x), bits(&nnls(&a, &b).unwrap()));
+                    }
+                },
+            );
+        }
 
         fn pseudo_matrix(seed: u64, rows: usize, cols: usize) -> (Matrix, Vec<f64>) {
             let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(99991);
@@ -304,20 +514,7 @@ mod tests {
                 let cols = g.usize_in(1..6);
                 let (a, b) = pseudo_matrix(seed, rows, cols);
                 if let Ok(x) = nnls(&a, &b) {
-                    assert!(x.iter().all(|&v| v >= 0.0));
-                    // KKT: gradient must be <= 0 on active (zero) coords
-                    // and ~0 on passive coords.
-                    let ax = a.mat_vec(&x).unwrap();
-                    let resid: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-                    let w = a.transpose().mat_vec(&resid).unwrap();
-                    let scale = a.max_abs() * b.iter().fold(1.0f64, |s, v| s.max(v.abs()));
-                    for (j, &wj) in w.iter().enumerate() {
-                        if x[j] > 1e-9 {
-                            assert!(wj.abs() <= 1e-6 * scale.max(1.0), "passive grad {wj}");
-                        } else {
-                            assert!(wj <= 1e-6 * scale.max(1.0), "active grad {wj}");
-                        }
-                    }
+                    assert_kkt(&a, &b, &x);
                 }
             });
         }
