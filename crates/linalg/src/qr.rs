@@ -6,13 +6,15 @@ use crate::{LinalgError, Matrix};
 ///
 /// Owns every buffer the Householder solve touches (the in-place `R`
 /// factor, the transformed right-hand side, the reflection vector, the
-/// solution, and the ridge-augmented system), so repeated solves of
-/// same-shaped problems perform no heap allocation after the first call.
+/// per-column reflection factors, the solution, and the ridge-augmented
+/// system), so repeated solves of same-shaped problems perform no heap
+/// allocation after the first call.
 #[derive(Debug, Default)]
 pub struct LstsqWorkspace {
     r: Matrix,
     y: Vec<f64>,
     v: Vec<f64>,
+    f: Vec<f64>,
     x: Vec<f64>,
     aug: Matrix,
     rhs: Vec<f64>,
@@ -27,15 +29,17 @@ impl LstsqWorkspace {
 
 /// The Householder-QR solve on explicit scratch buffers.
 ///
-/// Performs bit-identical arithmetic to the original allocating [`lstsq`]:
-/// same reflection order, same singularity thresholds, same back
-/// substitution.
+/// Each reflection is applied in one sweep over the rows of the trailing
+/// block (and `y`), not one strided walk per column. Every column's dot
+/// product still sums in row order and every update is the same product,
+/// so the result is bit-identical to reflecting column by column.
 fn lstsq_core(
     a: &Matrix,
     b: &[f64],
     r: &mut Matrix,
     y: &mut Vec<f64>,
     v: &mut Vec<f64>,
+    f: &mut Vec<f64>,
     x: &mut Vec<f64>,
 ) -> Result<(), LinalgError> {
     let m = a.rows();
@@ -85,25 +89,28 @@ fn lstsq_core(
             // Column already triangular.
             continue;
         }
-        // Apply H = I - 2 v vᵀ / (vᵀv) to the trailing block of R.
-        for j in k..n {
-            let mut dot = 0.0;
-            for i in k..m {
-                dot += v[i - k] * r[(i, j)];
-            }
-            let f = 2.0 * dot / vtv;
-            for i in k..m {
-                r[(i, j)] -= f * v[i - k];
-            }
-        }
-        // ... and to y.
-        let mut dot = 0.0;
+        // Apply H = I - 2 v vᵀ / (vᵀv) to the trailing block of R and to
+        // y: f[j] = 2 vᵀ(column j) / vᵀv, with y as column n - k.
+        let w = n - k;
+        f.clear();
+        f.resize(w + 1, 0.0);
+        let data = r.as_mut_slice();
         for i in k..m {
-            dot += v[i - k] * y[i];
+            let vi = v[i - k];
+            for (fj, &rij) in f.iter_mut().zip(&data[i * n + k..(i + 1) * n]) {
+                *fj += vi * rij;
+            }
+            f[w] += vi * y[i];
         }
-        let f = 2.0 * dot / vtv;
+        for fj in f.iter_mut() {
+            *fj = 2.0 * *fj / vtv;
+        }
         for i in k..m {
-            y[i] -= f * v[i - k];
+            let vi = v[i - k];
+            for (rij, &fj) in data[i * n + k..(i + 1) * n].iter_mut().zip(&*f) {
+                *rij -= fj * vi;
+            }
+            y[i] -= f[w] * vi;
         }
     }
 
@@ -138,8 +145,8 @@ pub fn lstsq_with<'ws>(
     b: &[f64],
     ws: &'ws mut LstsqWorkspace,
 ) -> Result<&'ws [f64], LinalgError> {
-    let LstsqWorkspace { r, y, v, x, .. } = ws;
-    lstsq_core(a, b, r, y, v, x)?;
+    let LstsqWorkspace { r, y, v, f, x, .. } = ws;
+    lstsq_core(a, b, r, y, v, f, x)?;
     Ok(x)
 }
 
@@ -173,6 +180,7 @@ pub fn ridge_lstsq_with<'ws>(
         r,
         y,
         v,
+        f,
         x,
         aug,
         rhs,
@@ -194,7 +202,7 @@ pub fn ridge_lstsq_with<'ws>(
     rhs.clear();
     rhs.extend_from_slice(b);
     rhs.extend(std::iter::repeat_n(0.0, n));
-    lstsq_core(aug, rhs, r, y, v, x)?;
+    lstsq_core(aug, rhs, r, y, v, f, x)?;
     Ok(x)
 }
 
@@ -262,6 +270,77 @@ mod tests {
             .map(|(p, m)| (p - m) * (p - m))
             .sum::<f64>()
             .sqrt()
+    }
+
+    /// The reference Householder solve: each reflection walks the
+    /// trailing columns one at a time, with stride `n` down each column.
+    /// `lstsq_core`'s row sweep must match it bit for bit.
+    fn column_loop_lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+        let m = a.rows();
+        let n = a.cols();
+        if b.len() != m || m < n {
+            return Err(LinalgError::DimensionMismatch {
+                expected: String::new(),
+                got: String::new(),
+            });
+        }
+        if !a.is_finite() || b.iter().any(|x| !x.is_finite()) {
+            return Err(LinalgError::NotFinite);
+        }
+        let mut r = a.clone();
+        let mut y = b.to_vec();
+        let scale = r.max_abs().max(1e-300);
+        for k in 0..n {
+            let mut norm = 0.0;
+            for i in k..m {
+                norm += r[(i, k)] * r[(i, k)];
+            }
+            let norm = norm.sqrt();
+            if norm <= scale * 1e-13 {
+                return Err(LinalgError::Singular);
+            }
+            let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
+            let mut v = vec![0.0; m - k];
+            v[0] = r[(k, k)] - alpha;
+            for i in (k + 1)..m {
+                v[i - k] = r[(i, k)];
+            }
+            let vtv: f64 = v.iter().map(|x| x * x).sum();
+            if vtv <= 0.0 {
+                continue;
+            }
+            for j in k..n {
+                let mut dot = 0.0;
+                for i in k..m {
+                    dot += v[i - k] * r[(i, j)];
+                }
+                let f = 2.0 * dot / vtv;
+                for i in k..m {
+                    r[(i, j)] -= f * v[i - k];
+                }
+            }
+            let mut dot = 0.0;
+            for i in k..m {
+                dot += v[i - k] * y[i];
+            }
+            let f = 2.0 * dot / vtv;
+            for i in k..m {
+                y[i] -= f * v[i - k];
+            }
+        }
+        let mut x = vec![0.0; n];
+        for k in (0..n).rev() {
+            let mut s = y[k];
+            for j in (k + 1)..n {
+                s -= r[(k, j)] * x[j];
+            }
+            let d = r[(k, k)];
+            if d.abs() <= scale * 1e-13 {
+                return Err(LinalgError::Singular);
+            }
+            x[k] = s / d;
+        }
+        Ok(x)
     }
 
     #[test]
@@ -420,6 +499,48 @@ mod tests {
 
     mod prop {
         use super::*;
+
+        fn bits(r: Result<Vec<f64>, LinalgError>) -> Result<Vec<u64>, LinalgError> {
+            r.map(|x| x.iter().map(|v| v.to_bits()).collect())
+        }
+
+        #[test]
+        fn row_sweep_matches_the_column_loop_bit_for_bit() {
+            gpm_check::check("row_sweep_matches_the_column_loop_bit_for_bit", |g| {
+                let n = *g.choose(&[1usize, 1, 2, 3, 5, 8, 11]);
+                let m = n + *g.choose(&[0usize, 0, 1, 3, 9, 40]);
+                let mut a = Matrix::from_fn(m, n, |_, _| g.f64_in(-2.0, 2.0));
+                if n > 1 && g.usize_in(0..4) == 0 {
+                    // A repeated column: both paths must fail the same way.
+                    for i in 0..m {
+                        a[(i, n - 1)] = a[(i, 0)];
+                    }
+                }
+                let b = g.vec_f64(m..m + 1, -5.0, 5.0);
+                assert_eq!(
+                    bits(lstsq(&a, &b)),
+                    bits(column_loop_lstsq(&a, &b)),
+                    "lstsq {m}x{n}"
+                );
+                let lambda = g.f64_in(1e-9, 1.0);
+                let aug = Matrix::from_fn(m + n, n, |i, j| {
+                    if i < m {
+                        a[(i, j)]
+                    } else if i - m == j {
+                        lambda.sqrt()
+                    } else {
+                        0.0
+                    }
+                });
+                let mut rhs = b.clone();
+                rhs.resize(m + n, 0.0);
+                assert_eq!(
+                    bits(ridge_lstsq(&a, &b, lambda)),
+                    bits(column_loop_lstsq(&aug, &rhs)),
+                    "ridge_lstsq {m}x{n}"
+                );
+            });
+        }
 
         #[test]
         fn lstsq_recovers_planted_solution() {
