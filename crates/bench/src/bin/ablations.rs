@@ -18,7 +18,6 @@ use gpm_linalg::stats;
 use gpm_profiler::Profiler;
 use gpm_sim::SimulatedGpu;
 use gpm_spec::{devices, FreqConfig};
-use gpm_workloads::validation_suite;
 use std::collections::BTreeMap;
 
 fn fit_variant(training: &TrainingSet, config: EstimatorConfig) -> PowerModel {
@@ -28,7 +27,7 @@ fn fit_variant(training: &TrainingSet, config: EstimatorConfig) -> PowerModel {
 fn main() {
     let spec = devices::gtx_titan_x();
     let fitted: FittedDevice = fit_device(spec.clone());
-    let data = collect_validation(&spec);
+    let data = collect_validation(&spec, spec.default_config());
     let default_mape = validation_mape(&fitted.model, &data);
 
     heading("Ablation 1: NNLS vs plain ridge least squares");
@@ -153,22 +152,15 @@ fn main() {
         profiler.set_reference(reference).unwrap();
         let training = profiler.profile_suite(&suite).unwrap();
         let model = Estimator::new().fit(&training).unwrap();
-        // Validation profiles must come from the same reference.
-        let mut vgpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
-        let mut vprof = Profiler::new(&mut vgpu);
-        vprof.set_reference(reference).unwrap();
-        let mut pred = Vec::new();
-        let mut meas = Vec::new();
-        for app in validation_suite(&spec).iter().take(12) {
-            let profile = vprof.profile_at_reference(app).unwrap();
-            for (config, watts) in vprof.measure_power_grid(app).unwrap() {
-                pred.push(model.predict(&profile.utilizations, config).unwrap());
-                meas.push(watts);
-            }
-        }
+        // Validation profiles must come from the same reference; the
+        // study scores the first 12 applications.
+        let mut data = collect_validation(&spec, reference);
+        data.names.truncate(12);
+        data.profiles.truncate(12);
+        data.grids.truncate(12);
         format!(
             "  reference {reference} -> validation MAPE {:.2}%",
-            stats::mape(&pred, &meas).unwrap()
+            validation_mape(&model, &data)
         )
     }) {
         println!("{line}");

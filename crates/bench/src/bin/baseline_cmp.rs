@@ -24,7 +24,7 @@ fn main() {
         let base_all =
             LinearFreqModel::fit(&fitted.training, BaselineFitStrategy::AllConfigs).unwrap();
         let clusters = ScalingClusterModel::fit(&fitted.training, 5).unwrap();
-        let data = collect_validation(&spec);
+        let data = collect_validation(&spec, spec.default_config());
         println!(
             "{:<12} {:>13.1}% {:>15.1}% {:>15.1}% {:>15.1}%",
             spec.name(),

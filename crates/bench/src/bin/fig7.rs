@@ -14,7 +14,7 @@ fn main() {
     heading("Figure 7: power prediction for all V-F configurations (validation set)");
     for spec in devices::all() {
         let fitted = fit_device(spec.clone());
-        let data = collect_validation(&spec);
+        let data = collect_validation(&spec, spec.default_config());
 
         let mut pred = Vec::new();
         let mut meas = Vec::new();

@@ -13,7 +13,7 @@ use gpm_spec::{devices, FreqConfig};
 fn main() {
     let spec = devices::gtx_titan_x();
     let fitted = fit_device(spec.clone());
-    let data = collect_validation(&spec);
+    let data = collect_validation(&spec, spec.default_config());
 
     let mut overall_pred = Vec::new();
     let mut overall_meas = Vec::new();

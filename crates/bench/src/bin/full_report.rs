@@ -22,7 +22,7 @@ fn main() {
     let mut titan_x: Option<(DeviceSpec, FittedDevice, ValidationData, AccuracyReport)> = None;
     for spec in devices::all() {
         let fitted = fit_device(spec.clone());
-        let data = collect_validation(&spec);
+        let data = collect_validation(&spec, spec.default_config());
         let report = data.report(|p, c| fitted.model.predict(&p.utilizations, c).unwrap());
         let (worst, worst_mape) = report.worst_label().unwrap();
         println!(

@@ -85,14 +85,20 @@ impl ValidationData {
 
 /// Measures the validation suite on a fresh instance of `spec`'s card:
 /// seed `REPRO_SEED + 1000`, so its measurement noise is independent of
-/// the training campaign's.
+/// the training campaign's. Profiles are taken at `reference`, which
+/// must be the reference of the model they feed (usually
+/// `spec.default_config()`).
 ///
 /// # Panics
 ///
-/// Panics on any profiling failure.
-pub fn collect_validation(spec: &DeviceSpec) -> ValidationData {
+/// Panics if `reference` is off the device's grid, or on any profiling
+/// failure.
+pub fn collect_validation(spec: &DeviceSpec, reference: FreqConfig) -> ValidationData {
     let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
     let mut profiler = Profiler::new(&mut gpu);
+    profiler
+        .set_reference(reference)
+        .expect("validation reference is on the device grid");
     let mut data = ValidationData {
         names: Vec::new(),
         profiles: Vec::new(),
