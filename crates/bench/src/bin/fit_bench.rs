@@ -98,6 +98,7 @@ impl_json!(struct FitRow { path, best_s, mobs_per_s, speedup_vs_cold });
 
 struct FitBenchReport {
     device: String,
+    available_parallelism: usize,
     samples: usize,
     configs: usize,
     observations: usize,
@@ -116,7 +117,7 @@ struct FitBenchReport {
 }
 
 impl_json!(struct FitBenchReport {
-    device, samples, configs, observations, repeats, cv_folds,
+    device, available_parallelism, samples, configs, observations, repeats, cv_folds,
     steady_state_allocs_per_iteration, warm_refit_speedup,
     cold_iterations, warm_iterations, rows
 });
@@ -354,6 +355,9 @@ fn main() {
     if !gate_mode {
         let report = FitBenchReport {
             device: spec.name().to_string(),
+            available_parallelism: std::thread::available_parallelism()
+                .map(usize::from)
+                .unwrap_or(1),
             samples: training.samples.len(),
             configs: n_cfg,
             observations: n_obs,
