@@ -4,17 +4,13 @@ use crate::{lstsq_with, LinalgError, LstsqWorkspace, Matrix};
 
 /// Reusable scratch for [`nnls_with`].
 ///
-/// Owns the transposed design, the active-set bookkeeping, the gradient
-/// and residual vectors, the passive-column submatrix, and a nested
-/// [`LstsqWorkspace`], so repeated solves of same-shaped problems perform
-/// no heap allocation after the first call.
+/// Owns the active-set bookkeeping, the gradient, the passive-column
+/// submatrix, and a nested [`LstsqWorkspace`], so repeated solves of
+/// same-shaped problems perform no heap allocation after the first call.
 #[derive(Debug, Default)]
 pub struct NnlsWorkspace {
-    at: Matrix,
     x: Vec<f64>,
     passive: Vec<bool>,
-    ax: Vec<f64>,
-    resid: Vec<f64>,
     w: Vec<f64>,
     idx: Vec<usize>,
     sub: Matrix,
@@ -77,18 +73,14 @@ pub fn nnls_with<'ws>(
     }
 
     let NnlsWorkspace {
-        at,
         x,
         passive,
-        ax,
-        resid,
         w,
         idx,
         sub,
         z,
         lstsq: lws,
     } = ws;
-    a.transpose_into(at);
     x.clear();
     x.resize(n, 0.0);
     passive.clear();
@@ -109,8 +101,7 @@ pub fn nnls_with<'ws>(
         if idx.is_empty() {
             break;
         }
-        a.select_cols_into(idx, sub);
-        let Ok(z_sub) = lstsq_with(sub, b, lws) else {
+        let Ok(z_sub) = lstsq_with(passive_cols(a, idx, sub), b, lws) else {
             // A singular (or wider than tall) subset: start cold.
             passive.fill(false);
             break;
@@ -129,11 +120,7 @@ pub fn nnls_with<'ws>(
     }
 
     for _ in 0..max_outer {
-        // Gradient of 0.5||Ax-b||²: w = Aᵀ(b - Ax).
-        a.mat_vec_into(x, ax)?;
-        resid.clear();
-        resid.extend(b.iter().zip(&*ax).map(|(bi, axi)| bi - axi));
-        at.mat_vec_into(resid, w)?;
+        residual_gradient_into(a, b, x, w);
 
         // Most-improving inactive coordinate.
         let mut best: Option<(usize, f64)> = None;
@@ -154,8 +141,7 @@ pub fn nnls_with<'ws>(
         for _ in 0..max_inner {
             idx.clear();
             idx.extend((0..n).filter(|&j| passive[j]));
-            a.select_cols_into(idx, sub);
-            let z_sub = match lstsq_with(sub, b, lws) {
+            let z_sub = match lstsq_with(passive_cols(a, idx, sub), b, lws) {
                 Ok(z) => z,
                 Err(LinalgError::Singular) => {
                     // The newly added column is linearly dependent on the
@@ -204,6 +190,35 @@ pub fn nnls_with<'ws>(
     })
 }
 
+/// The negated gradient of ½‖Ax − b‖², `w = Aᵀ(b − Ax)`, in one pass over
+/// A's rows without forming Aᵀ. Each residual is `b[i]` minus the row's
+/// dot product, summed as [`Matrix::mat_vec`] sums it, and each `w[j]`
+/// adds its terms in row order from −0.0, the start value of
+/// `Iterator::sum`, so every bit, the sign of a zero included, matches
+/// `a.transpose().mat_vec(&resid)`.
+fn residual_gradient_into(a: &Matrix, b: &[f64], x: &[f64], w: &mut Vec<f64>) {
+    w.clear();
+    w.resize(a.cols(), -0.0);
+    for (i, &bi) in b.iter().enumerate() {
+        let row = a.row(i);
+        let ri = bi - row.iter().zip(x).map(|(aij, xj)| aij * xj).sum::<f64>();
+        for (wj, &aij) in w.iter_mut().zip(row) {
+            *wj += aij * ri;
+        }
+    }
+}
+
+/// The passive columns of `a` as a design: `a` itself when every column
+/// is passive, otherwise a copy of the columns `idx` in `sub`.
+fn passive_cols<'m>(a: &'m Matrix, idx: &[usize], sub: &'m mut Matrix) -> &'m Matrix {
+    if idx.len() == a.cols() {
+        a
+    } else {
+        a.select_cols_into(idx, sub);
+        sub
+    }
+}
+
 /// Solves `min ||A x - b||₂` subject to `x ≥ 0` (Lawson–Hanson active set).
 ///
 /// The power-model coefficients `β` and `ω` of Eqs. 6-7 are physically
@@ -243,6 +258,113 @@ pub fn nnls(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 mod tests {
     use super::*;
     use crate::lstsq;
+
+    /// The transpose-based solve `nnls_with` replaced: it forms Aᵀ for the
+    /// gradient, computes the residual in a buffer of its own, and copies
+    /// the passive columns even when they are every column of A.
+    /// `nnls_with` must match it bit for bit.
+    fn transpose_nnls(a: &Matrix, b: &[f64], start: &[usize]) -> Result<Vec<f64>, LinalgError> {
+        let n = a.cols();
+        if b.len() != a.rows() || start.iter().any(|&j| j >= n) {
+            return Err(LinalgError::DimensionMismatch {
+                expected: String::new(),
+                got: String::new(),
+            });
+        }
+        if !a.is_finite() || b.iter().any(|x| !x.is_finite()) {
+            return Err(LinalgError::NotFinite);
+        }
+        let at = a.transpose();
+        let mut x = vec![0.0; n];
+        let mut passive = vec![false; n];
+        let tol = 1e-10 * a.max_abs().max(1.0) * b.iter().fold(1.0f64, |s, v| s.max(v.abs()));
+        let positive = tol.min(1e-12);
+        let passive_idx = |passive: &[bool]| (0..n).filter(|&j| passive[j]).collect::<Vec<_>>();
+        for &j in start {
+            passive[j] = true;
+        }
+        loop {
+            let idx = passive_idx(&passive);
+            if idx.is_empty() {
+                break;
+            }
+            let Ok(z_sub) = lstsq(&a.select_cols(&idx), b) else {
+                passive.fill(false);
+                break;
+            };
+            if z_sub.iter().all(|&v| v > positive) {
+                for (&j, &v) in idx.iter().zip(&z_sub) {
+                    x[j] = v;
+                }
+                break;
+            }
+            for (&j, &v) in idx.iter().zip(&z_sub) {
+                if v <= positive {
+                    passive[j] = false;
+                }
+            }
+        }
+        for _ in 0..3 * n + 30 {
+            let ax = a.mat_vec(&x)?;
+            let resid: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
+            let w = at.mat_vec(&resid)?;
+            let mut best: Option<(usize, f64)> = None;
+            for j in 0..n {
+                if !passive[j] && w[j] > tol && best.is_none_or(|(_, bw)| w[j] > bw) {
+                    best = Some((j, w[j]));
+                }
+            }
+            let Some((j_star, _)) = best else {
+                return Ok(x);
+            };
+            passive[j_star] = true;
+            let mut inner_ok = false;
+            for _ in 0..3 * n + 30 {
+                let idx = passive_idx(&passive);
+                let z_sub = match lstsq(&a.select_cols(&idx), b) {
+                    Ok(z) => z,
+                    Err(LinalgError::Singular) => {
+                        passive[j_star] = false;
+                        inner_ok = true;
+                        break;
+                    }
+                    Err(e) => return Err(e),
+                };
+                let mut z = vec![0.0; n];
+                for (k, &j) in idx.iter().enumerate() {
+                    z[j] = z_sub[k];
+                }
+                if idx.iter().all(|&j| z[j] > positive) {
+                    x = z;
+                    inner_ok = true;
+                    break;
+                }
+                let mut alpha = 1.0f64;
+                for &j in &idx {
+                    if z[j] <= 0.0 && x[j] > z[j] {
+                        alpha = alpha.min(x[j] / (x[j] - z[j]));
+                    }
+                }
+                for j in 0..n {
+                    x[j] += alpha * (z[j] - x[j]);
+                    if passive[j] && x[j] <= positive {
+                        x[j] = 0.0;
+                        passive[j] = false;
+                    }
+                }
+            }
+            if !inner_ok {
+                return Err(LinalgError::NoConvergence {
+                    routine: "nnls inner loop",
+                    iterations: 3 * n + 30,
+                });
+            }
+        }
+        Err(LinalgError::NoConvergence {
+            routine: "nnls",
+            iterations: 3 * n + 30,
+        })
+    }
 
     #[test]
     fn workspace_reuse_matches_fresh_solves() {
@@ -455,6 +577,77 @@ mod tests {
                     let warm_t = nnls_with(&a_t, &b, &support(&prev), &mut ws).unwrap();
                     assert_eq!(bits(warm_t), bits(&cold_t), "drifting run");
                     prev = cold_t;
+                }
+            });
+        }
+
+        fn bits_of(r: Result<&[f64], LinalgError>) -> Result<Vec<u64>, LinalgError> {
+            r.map(bits)
+        }
+
+        #[test]
+        fn nnls_with_matches_the_transpose_solve_bit_for_bit() {
+            gpm_check::check("nnls_with_matches_the_transpose_solve_bit_for_bit", |g| {
+                let cols = g.usize_in(1..12);
+                let rows = cols + g.usize_in(0..40);
+                let a = Matrix::from_fn(rows, cols, |_, _| g.f64_in(-2.0, 2.0));
+                let truth: Vec<f64> = (0..cols).map(|_| g.f64_in(-0.5, 2.0)).collect();
+                let b = match g.usize_in(0..4) {
+                    // Exact fits: a non-negative truth, or none at all
+                    // (b ≡ 0), leave residuals at or near zero.
+                    0 => a.mat_vec(&truth.iter().map(|t| t.max(0.0)).collect::<Vec<_>>()),
+                    1 => Ok(vec![0.0; rows]),
+                    _ => Ok(noisy_rhs(g, &a, &truth)),
+                }
+                .unwrap();
+                let starts = [
+                    Vec::new(),
+                    (0..cols).collect(),
+                    (0..cols).filter(|_| g.bool()).collect::<Vec<_>>(),
+                ];
+                let mut ws = NnlsWorkspace::new();
+                for start in &starts {
+                    assert_eq!(
+                        bits_of(nnls_with(&a, &b, start, &mut ws)),
+                        transpose_nnls(&a, &b, start).map(|x| bits(&x)),
+                        "{rows}x{cols} from {start:?}"
+                    );
+                }
+            });
+        }
+
+        #[test]
+        fn residual_gradient_matches_the_transpose_bit_for_bit() {
+            gpm_check::check("residual_gradient_matches_the_transpose_bit_for_bit", |g| {
+                let cols = g.usize_in(1..12);
+                let rows = g.usize_in(1..50);
+                let mut a = Matrix::from_fn(rows, cols, |_, _| g.f64_in(-2.0, 2.0));
+                let negative = g.bool().then(|| g.usize_in(0..cols));
+                if let Some(c) = negative {
+                    for i in 0..rows {
+                        a[(i, c)] = -g.f64_in(0.1, 2.0);
+                    }
+                }
+                let x: Vec<f64> = (0..cols)
+                    .map(|_| if g.bool() { 0.0 } else { g.f64_in(0.0, 3.0) })
+                    .collect();
+                // A third of the cases take b = Ax exactly, so r ≡ +0.
+                let exact = g.usize_in(0..3) == 0;
+                let b = if exact {
+                    a.mat_vec(&x).unwrap()
+                } else {
+                    g.vec_f64(rows..rows + 1, -5.0, 5.0)
+                };
+                let ax = a.mat_vec(&x).unwrap();
+                let resid: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
+                let reference = a.transpose().mat_vec(&resid).unwrap();
+                let mut w = Vec::new();
+                residual_gradient_into(&a, &b, &x, &mut w);
+                assert_eq!(bits(&w), bits(&reference), "{rows}x{cols}");
+                if let (true, Some(c)) = (exact, negative) {
+                    // Sums of -0.0 products stay -0.0 only from a -0.0
+                    // start.
+                    assert!(w[c] == 0.0 && w[c].is_sign_negative(), "w[{c}] = {}", w[c]);
                 }
             });
         }
