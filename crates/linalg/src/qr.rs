@@ -30,9 +30,11 @@ impl LstsqWorkspace {
 /// The Householder-QR solve on explicit scratch buffers.
 ///
 /// Each reflection is applied in one sweep over the rows of the trailing
-/// block (and `y`), not one strided walk per column. Every column's dot
-/// product still sums in row order and every update is the same product,
-/// so the result is bit-identical to reflecting column by column.
+/// block (and `y`), not one strided walk per column, and every row is
+/// reached as a slice of `R`, not by bounds-checked `(i, j)` indexing.
+/// Every column's dot product still sums in row order and every update is
+/// the same product, so the result is bit-identical to reflecting column
+/// by column.
 fn lstsq_core(
     a: &Matrix,
     b: &[f64],
@@ -67,50 +69,43 @@ fn lstsq_core(
     y.extend_from_slice(b);
     let scale = r.max_abs().max(1e-300);
 
+    let data = r.as_mut_slice();
     for k in 0..n {
-        // Build the Householder vector for column k below the diagonal.
-        let mut norm = 0.0;
-        for i in k..m {
-            norm += r[(i, k)] * r[(i, k)];
-        }
-        let norm = norm.sqrt();
+        // The Householder vector for column k below the diagonal, read
+        // down the column one row at a time.
+        v.clear();
+        v.extend(data[k * n + k..].iter().step_by(n));
+        let norm = v.iter().fold(0.0, |s, &rik| s + rik * rik).sqrt();
         if norm <= scale * 1e-13 {
             return Err(LinalgError::Singular);
         }
-        let alpha = if r[(k, k)] >= 0.0 { -norm } else { norm };
-        v.clear();
-        v.resize(m - k, 0.0);
-        v[0] = r[(k, k)] - alpha;
-        for i in (k + 1)..m {
-            v[i - k] = r[(i, k)];
-        }
+        let alpha = if v[0] >= 0.0 { -norm } else { norm };
+        v[0] -= alpha;
         let vtv: f64 = v.iter().map(|x| x * x).sum();
         if vtv <= 0.0 {
             // Column already triangular.
             continue;
         }
         // Apply H = I - 2 v vᵀ / (vᵀv) to the trailing block of R and to
-        // y: f[j] = 2 vᵀ(column j) / vᵀv, with y as column n - k.
-        let w = n - k;
+        // y: f[j] = 2 vᵀ(column k + j) / vᵀv, and fy the same for y.
         f.clear();
-        f.resize(w + 1, 0.0);
-        let data = r.as_mut_slice();
-        for i in k..m {
-            let vi = v[i - k];
-            for (fj, &rij) in f.iter_mut().zip(&data[i * n + k..(i + 1) * n]) {
+        f.resize(n - k, 0.0);
+        let mut fy = 0.0;
+        for ((row, &yi), &vi) in data[k * n..].chunks_exact(n).zip(&y[k..]).zip(&*v) {
+            for (fj, &rij) in f.iter_mut().zip(&row[k..]) {
                 *fj += vi * rij;
             }
-            f[w] += vi * y[i];
+            fy += vi * yi;
         }
         for fj in f.iter_mut() {
             *fj = 2.0 * *fj / vtv;
         }
-        for i in k..m {
-            let vi = v[i - k];
-            for (rij, &fj) in data[i * n + k..(i + 1) * n].iter_mut().zip(&*f) {
+        let fy = 2.0 * fy / vtv;
+        for ((row, yi), &vi) in data[k * n..].chunks_exact_mut(n).zip(&mut y[k..]).zip(&*v) {
+            for (rij, &fj) in row[k..].iter_mut().zip(&*f) {
                 *rij -= fj * vi;
             }
-            y[i] -= f[w] * vi;
+            *yi -= fy * vi;
         }
     }
 
