@@ -35,7 +35,7 @@
 //! or the plain [`Estimator::fit`] entry point produces bit-identical
 //! models — the workspace only removes steady-state allocations.
 
-use crate::workspace::{FitWorkspace, GroupScratch};
+use crate::workspace::FitWorkspace;
 use crate::{DomainParams, MicrobenchSample, ModelError, PowerModel, TrainingSet, VoltageTable};
 use gpm_json::impl_json;
 use gpm_linalg::batch::{domain_residuals_into, dot_rows_into};
@@ -733,10 +733,9 @@ fn solve_reduced(
 /// Voltage step (Eq. 12): coordinate descent with exact cubic stationary
 /// points per configuration group, then isotonic projection along the
 /// precomputed monotone chains. The observation weights carry the
-/// robust-mode Huber weights (all ones otherwise). Groups solve in
-/// parallel through `par_map_reusing`, which preserves input order and
-/// per-group scratch, keeping the result bit-identical to the sequential
-/// sweep at any thread count.
+/// robust-mode Huber weights (all ones otherwise). Groups solve one after
+/// another, each writing its voltages in place: a group's solve reads
+/// only its own two voltages, so the order cannot change the result.
 fn fit_voltages_ws(
     cfg: &EstimatorConfig,
     reference: FreqConfig,
@@ -749,7 +748,6 @@ fn fit_voltages_ws(
         configs,
         group_offsets,
         group_items,
-        group_ids,
         core_chain_offsets,
         core_chains,
         core_pins,
@@ -761,8 +759,7 @@ fn fit_voltages_ws(
         obs_weights,
         act_a,
         act_b,
-        vupdates,
-        group_scratch,
+        group_scratch: s,
         chain_vals,
         chain_fit,
         iso,
@@ -772,69 +769,58 @@ fn fit_voltages_ws(
     // Per-sample activity terms: A_i = β₁ + Σ ωⱼuⱼ, B_i = β₃ + ω_mem·u_dram.
     act_a.clear();
     act_b.clear();
-    for s in &training.samples {
-        let (a, b) = activity_terms(s, &x[..]);
+    for sample in &training.samples {
+        let (a, b) = activity_terms(sample, &x[..]);
         act_a.push(a);
         act_b.push(b);
     }
 
     let relative = cfg.relative_error;
     for _ in 0..cfg.voltage_sweeps {
-        gpm_par::par_map_reusing(
-            group_ids,
-            group_scratch,
-            vupdates,
-            GroupScratch::default,
-            |s: &mut GroupScratch, &g: &usize| -> Option<(usize, f64, f64)> {
-                let config = configs[g];
-                if config == reference {
-                    return None; // pinned at (1, 1) by normalization
-                }
-                let fc = config.core.as_f64() / 1000.0;
-                let fm = config.mem.as_f64() / 1000.0;
-                let idxs = &group_items[group_offsets[g]..group_offsets[g + 1]];
-                s.a_acts.clear();
-                s.b_acts.clear();
-                s.watts.clear();
-                s.weights.clear();
-                for &i in idxs {
-                    let o = &obs[i];
-                    s.a_acts.push(act_a[o.sample]);
-                    s.b_acts.push(act_b[o.sample]);
-                    s.watts.push(o.watts);
-                    let base = if relative {
-                        let p = o.watts.max(1e-6);
-                        1.0 / (p * p)
-                    } else {
-                        1.0
-                    };
-                    s.weights.push(base * obs_weights[i]);
-                }
-                // The Eq. 12 inner loop, batched: residuals against the
-                // *other* domain's contribution come from one
-                // `domain_residuals_into` pass over the group (same
-                // association as the scalar expression, so the solve
-                // inputs are bit-identical).
-                s.resid.clear();
-                s.resid.resize(idxs.len(), 0.0);
-                // Core voltage given the current memory voltage.
-                let vm_old = vmem[g];
-                domain_residuals_into(x[8], fm, vm_old, &s.b_acts, &s.watts, &mut s.resid);
-                s.coef.clear();
-                s.coef.extend(s.a_acts.iter().map(|&a| a * fc));
-                let vc = minimize_quartic_slices(x[0], &s.coef, &s.resid, &s.weights)
-                    .unwrap_or(vcore[g]);
-                // Memory voltage given the updated core voltage.
-                domain_residuals_into(x[0], fc, vc, &s.a_acts, &s.watts, &mut s.resid);
-                s.coef.clear();
-                s.coef.extend(s.b_acts.iter().map(|&b| b * fm));
-                let vm =
-                    minimize_quartic_slices(x[8], &s.coef, &s.resid, &s.weights).unwrap_or(vm_old);
-                Some((g, vc, vm))
-            },
-        );
         let mut solved = 0u64;
-        for &(g, vc, vm) in vupdates.iter().flatten() {
+        for (g, &config) in configs.iter().enumerate() {
+            if config == reference {
+                continue; // pinned at (1, 1) by normalization
+            }
+            let fc = config.core.as_f64() / 1000.0;
+            let fm = config.mem.as_f64() / 1000.0;
+            let idxs = &group_items[group_offsets[g]..group_offsets[g + 1]];
+            s.a_acts.clear();
+            s.b_acts.clear();
+            s.watts.clear();
+            s.weights.clear();
+            for &i in idxs {
+                let o = &obs[i];
+                s.a_acts.push(act_a[o.sample]);
+                s.b_acts.push(act_b[o.sample]);
+                s.watts.push(o.watts);
+                let base = if relative {
+                    let p = o.watts.max(1e-6);
+                    1.0 / (p * p)
+                } else {
+                    1.0
+                };
+                s.weights.push(base * obs_weights[i]);
+            }
+            // The Eq. 12 inner loop, batched: residuals against the
+            // *other* domain's contribution come from one
+            // `domain_residuals_into` pass over the group (same
+            // association as the scalar expression, so the solve inputs
+            // are bit-identical).
+            s.resid.clear();
+            s.resid.resize(idxs.len(), 0.0);
+            // Core voltage given the current memory voltage.
+            let vm_old = vmem[g];
+            domain_residuals_into(x[8], fm, vm_old, &s.b_acts, &s.watts, &mut s.resid);
+            s.coef.clear();
+            s.coef.extend(s.a_acts.iter().map(|&a| a * fc));
+            let vc =
+                minimize_quartic_slices(x[0], &s.coef, &s.resid, &s.weights).unwrap_or(vcore[g]);
+            // Memory voltage given the updated core voltage.
+            domain_residuals_into(x[0], fc, vc, &s.a_acts, &s.watts, &mut s.resid);
+            s.coef.clear();
+            s.coef.extend(s.b_acts.iter().map(|&b| b * fm));
+            let vm = minimize_quartic_slices(x[8], &s.coef, &s.resid, &s.weights).unwrap_or(vm_old);
             vcore[g] = vc;
             vmem[g] = vm;
             solved += 1;

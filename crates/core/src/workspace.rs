@@ -24,9 +24,9 @@ pub(crate) struct Obs {
     pub(crate) watts: f64,
 }
 
-/// Per-worker scratch for the Eq. 12 voltage solves: the gathered group
-/// slices and the quartic-minimizer inputs, reused across sweeps and
-/// configurations.
+/// Scratch for the Eq. 12 voltage solves: one configuration group's
+/// gathered slices and quartic-minimizer inputs, reused across groups,
+/// sweeps and iterations.
 #[derive(Debug, Default)]
 pub(crate) struct GroupScratch {
     /// Core activity terms `A_i` for the group's observations.
@@ -65,8 +65,6 @@ pub struct FitWorkspace {
     pub(crate) group_offsets: Vec<usize>,
     pub(crate) group_items: Vec<usize>,
     pub(crate) group_cursor: Vec<usize>,
-    /// `0..configs.len()`, the parallel-map item list for voltage sweeps.
-    pub(crate) group_ids: Vec<usize>,
     /// Monotone-projection chains: per memory level, the config indices
     /// ascending in core frequency (for `V̄core`), and per core level
     /// ascending in memory frequency (for `V̄mem`), with the isotonic
@@ -112,8 +110,6 @@ pub struct FitWorkspace {
     /// Per-sample activity terms `(A, B)`, indexed by original sample.
     pub(crate) act_a: Vec<f64>,
     pub(crate) act_b: Vec<f64>,
-    /// Voltage-sweep results: `(config index, V̄core, V̄mem)` per group.
-    pub(crate) vupdates: Vec<Option<(usize, f64, f64)>>,
     pub(crate) group_scratch: GroupScratch,
     /// Monotone-projection gather/output buffers.
     pub(crate) chain_vals: Vec<f64>,
@@ -195,8 +191,6 @@ impl FitWorkspace {
             self.group_items[self.group_cursor[g]] = i;
             self.group_cursor[g] += 1;
         }
-        self.group_ids.clear();
-        self.group_ids.extend(0..ncfg);
 
         // Monotone-projection chains: fixed per fit, so the per-call key
         // collection/sort the old projection did is hoisted here.

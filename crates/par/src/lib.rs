@@ -1,11 +1,11 @@
-//! A dependency-free parallel execution engine for the estimation hot
-//! paths.
+//! A dependency-free parallel execution engine for coarse, independent
+//! work.
 //!
-//! The estimator's expensive loops — per-configuration voltage solves,
-//! cross-validation folds, measurement campaigns, ablation sweeps — are
-//! all embarrassingly parallel: every item is independent and the output
-//! order is fixed by the input order. [`par_map`] and [`par_for_each`]
-//! exploit that with a scoped-thread pool built on [`std::thread::scope`]:
+//! Cross-validation folds, measurement campaigns, ablation sweeps, fleet
+//! node preparation and micro-batched serve replies are embarrassingly
+//! parallel: every item is independent and the output order is fixed by
+//! the input order. [`par_map`] exploits that with a scoped-thread pool
+//! built on [`std::thread::scope`]:
 //!
 //! - **Deterministic ordering** — `par_map(items, f)[i] == f(&items[i])`
 //!   regardless of thread count or scheduling; workers race only over
@@ -21,11 +21,15 @@
 //!
 //! Work distribution is self-scheduling: workers repeatedly steal the
 //! next unclaimed block of indices from a shared atomic cursor, so a slow
-//! item (one configuration with many cubic-root retries, one expensive
-//! cross-validation fold) never idles the rest of the pool behind a
-//! static partition. Each worker buffers `(index, result)` pairs locally
-//! and the caller merges them back into input order after the scope
-//! joins, which keeps the whole crate free of `unsafe`.
+//! item (one expensive cross-validation fold, one long campaign) never
+//! idles the rest of the pool behind a static partition. Each worker
+//! buffers `(index, result)` pairs locally and the caller merges them
+//! back into input order after the scope joins, which keeps the whole
+//! crate free of `unsafe`.
+//!
+//! A pool call spawns its workers afresh, so it pays only for items that
+//! each cost well over a thread spawn. The estimator's per-configuration
+//! voltage solves do not: they run in a plain loop inside the fit.
 //!
 //! The [`timer`] module is the observability companion: lightweight scope
 //! guards that aggregate per-phase wall-clock time into a report carried
@@ -207,9 +211,9 @@ where
 
 /// Emits the schedule-independent per-call pool metrics (`par.calls`,
 /// `par.items`, `gauge par.threads`) when a recorder is installed;
-/// returns whether tracing is active. Every pool entry point — including
-/// the scratch-reusing one — must route through this so the metric name
-/// set and counts pinned by the golden traces stay identical.
+/// returns whether tracing is active. Every pool entry point routes
+/// through this so the metric name set and counts pinned by the golden
+/// traces stay identical.
 fn emit_call_metrics(threads: usize, len: usize) -> bool {
     // Pool telemetry when a recorder is installed. `par.calls` and
     // `par.items` are schedule-independent; threads, block claims,
@@ -254,26 +258,20 @@ where
         emit_sequential_metrics(traced, items.len());
         return catch_unwind(AssertUnwindSafe(|| items.iter().map(&f).collect()));
     }
-    pooled_map(threads, items, traced, || (), |(), item| f(item))
+    pooled_map(threads, items, traced, f)
 }
 
-/// The pooled (multi-worker) map core, generalized over per-worker
-/// scratch: each worker calls `init()` exactly once and threads the
-/// resulting state through every item it claims. [`run_pool_with`] passes
-/// `()` scratch; [`par_map_reusing`] passes real buffers so workers stop
-/// allocating per item.
-fn pooled_map<T, R, S, I, F>(
+/// The pooled (multi-worker) map core behind [`run_pool_with`].
+fn pooled_map<T, R, F>(
     threads: usize,
     items: &[T],
     traced: bool,
-    init: I,
     f: F,
 ) -> Result<Vec<R>, Box<dyn std::any::Any + Send>>
 where
     T: Sync,
     R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     let cursor = AtomicUsize::new(0);
     let block = block_size(items.len(), threads);
@@ -285,16 +283,12 @@ where
             let cursor = &cursor;
             let collected = &collected;
             let panic_slot = &panic_slot;
-            let init = &init;
             let f = &f;
             scope.spawn(move || {
                 // Per-worker buffer: results land here first so the
                 // shared mutex is only taken once per claimed block.
                 let mut local: Vec<(usize, R)> = Vec::new();
                 let mut claimed_blocks = 0u64;
-                // One scratch per worker, reused across every block this
-                // worker claims.
-                let mut scratch = init();
                 loop {
                     let start = cursor.fetch_add(block, Ordering::Relaxed);
                     if start >= items.len() {
@@ -311,7 +305,7 @@ where
                     let end = (start + block).min(items.len());
                     let result = catch_unwind(AssertUnwindSafe(|| {
                         for (offset, item) in items[start..end].iter().enumerate() {
-                            local.push((start + offset, f(&mut scratch, item)));
+                            local.push((start + offset, f(item)));
                         }
                     }));
                     if let Err(payload) = result {
@@ -347,80 +341,6 @@ where
     // deterministic no matter how blocks were claimed.
     pairs.sort_unstable_by_key(|&(i, _)| i);
     Ok(pairs.into_iter().map(|(_, r)| r).collect())
-}
-
-/// Like [`par_map`] but with reusable scratch and output buffers, for
-/// allocation-free steady-state hot loops (the estimator's per-iteration
-/// voltage solves).
-///
-/// `f` receives a mutable scratch alongside each item. On the sequential
-/// fast path (one thread or one item) the caller's `scratch` is threaded
-/// through every item in input order — zero allocation once the buffers
-/// have warmed up. On the pooled path each worker builds its own scratch
-/// with `fresh()` exactly once and reuses it across every block it
-/// claims; the caller's `scratch` is untouched.
-///
-/// `out` is cleared and refilled with `f`'s results in input order, so
-/// `out[i] == f(scratch, &items[i])` at any thread count — bit-identical
-/// to [`par_map`] when `f` ignores the scratch's (cleared) contents.
-/// Emits exactly the same pool telemetry as [`par_map`] (`par.calls`,
-/// `par.items`, `par.threads`, `par.blocks`, `par.steals`,
-/// `par.queue_depth`), so traced pipelines see an identical instrument
-/// stream whichever entry point a call site uses.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic on the calling thread with its
-/// original payload.
-pub fn par_map_reusing<T, R, S, I, F>(
-    items: &[T],
-    scratch: &mut S,
-    out: &mut Vec<R>,
-    fresh: I,
-    f: F,
-) where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let threads = current_threads().min(items.len().max(1));
-    let traced = emit_call_metrics(threads, items.len());
-    if threads <= 1 || items.len() <= 1 {
-        emit_sequential_metrics(traced, items.len());
-        out.clear();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            for item in items {
-                out.push(f(scratch, item));
-            }
-        }));
-        if let Err(payload) = result {
-            resume_unwind(payload);
-        }
-        return;
-    }
-    match pooled_map(threads, items, traced, fresh, f) {
-        Ok(results) => {
-            out.clear();
-            out.extend(results);
-        }
-        Err(payload) => resume_unwind(payload),
-    }
-}
-
-/// Like [`par_map`] but discards results; useful for closures run only
-/// for their effects on per-item state they own.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic on the calling thread.
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    // Reuse par_map's machinery; unit results are free.
-    let _ = par_map(items, |item| f(item));
 }
 
 /// Applies `f` to every index in `0..n`, in parallel, preserving index
@@ -485,7 +405,7 @@ mod tests {
         let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
         with_threads(1, || {
-            par_for_each(&[10, 20, 30], |&x| {
+            par_map(&[10, 20, 30], |&x| {
                 assert_eq!(std::thread::current().id(), caller);
                 order.lock().unwrap().push(x);
             });
@@ -636,100 +556,6 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(slow_square).collect();
         let got = with_threads(8, || par_map(&items, slow_square));
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn par_map_reusing_matches_par_map_at_any_thread_count() {
-        let items: Vec<u64> = (0..500).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        for threads in [1, 2, 4, 8] {
-            let mut out = Vec::new();
-            let mut scratch = vec![0u64; 4];
-            with_threads(threads, || {
-                par_map_reusing(
-                    &items,
-                    &mut scratch,
-                    &mut out,
-                    || vec![0u64; 4],
-                    |s, &x| {
-                        // Use the scratch so the compiler cannot elide it.
-                        s[0] = x;
-                        s[0] * 3 + 1
-                    },
-                );
-            });
-            assert_eq!(out, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_reusing_reuses_caller_buffers_at_one_thread() {
-        let items: Vec<u64> = (0..64).collect();
-        let mut out: Vec<u64> = Vec::with_capacity(64);
-        let mut scratch = 0u64;
-        with_threads(1, || {
-            par_map_reusing(
-                &items,
-                &mut scratch,
-                &mut out,
-                || 0u64,
-                |s, &x| {
-                    *s += 1;
-                    x + *s
-                },
-            );
-        });
-        // The caller's scratch was threaded through every item in order.
-        assert_eq!(scratch, 64);
-        assert_eq!(out[0], 1);
-        assert_eq!(out[63], 63 + 64);
-        let ptr = out.as_ptr();
-        let cap = out.capacity();
-        with_threads(1, || {
-            par_map_reusing(&items, &mut scratch, &mut out, || 0u64, |_, &x| x);
-        });
-        // Refilled in place: same allocation, no growth.
-        assert_eq!(out.as_ptr(), ptr);
-        assert_eq!(out.capacity(), cap);
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn par_map_reusing_handles_empty_input_and_panics() {
-        let empty: Vec<u32> = Vec::new();
-        let mut out = vec![1u32, 2];
-        let mut scratch = ();
-        with_threads(4, || {
-            par_map_reusing(&empty, &mut scratch, &mut out, || (), |(), &x| x);
-        });
-        assert!(out.is_empty());
-        for threads in [1, 4] {
-            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                with_threads(threads, || {
-                    let items: Vec<u32> = (0..50).collect();
-                    let mut out = Vec::new();
-                    let mut scratch = ();
-                    par_map_reusing(
-                        &items,
-                        &mut scratch,
-                        &mut out,
-                        || (),
-                        |(), &x| {
-                            if x == 17 {
-                                panic!("boom at {x}");
-                            }
-                            x
-                        },
-                    );
-                });
-            }))
-            .unwrap_err();
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| "?".into());
-            assert!(msg.contains("boom at 17"), "threads={threads}: {msg:?}");
-        }
     }
 
     #[test]
