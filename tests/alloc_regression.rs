@@ -10,6 +10,10 @@
 //! same number of times — so the 10 extra iterations allocated nothing.
 //! Per-fit setup allocations (RMSE history, timing report, the model)
 //! cancel in the difference.
+//!
+//! The contract holds at every thread count: the alternation loop runs
+//! on the calling thread, so the differential runs at 1 and at 4
+//! `gpm-par` threads.
 
 use gpm::core::{Estimator, EstimatorConfig, FitWorkspace, MicrobenchSample, TrainingSet};
 use gpm::prelude::Utilizations;
@@ -100,18 +104,14 @@ fn synthetic_training() -> TrainingSet {
     }
 }
 
-#[test]
-fn steady_state_fit_iterations_allocate_nothing() {
-    // One worker thread: the sequential gpm-par path routes all scratch
-    // through the caller's workspace, which is the zero-allocation
-    // contract under test (pooled workers own per-thread scratch).
-    gpm::par::set_threads(Some(1));
-    let training = synthetic_training();
+/// Heap allocations of a 5- and a 15-iteration warm refit through one
+/// sized workspace.
+fn short_and_long_refit_allocations(training: &TrainingSet) -> (u64, u64) {
     let seed_model = Estimator::with_config(EstimatorConfig {
         max_iterations: 8,
         ..EstimatorConfig::default()
     })
-    .fit(&training)
+    .fit(training)
     .expect("seed fit");
 
     let mut ws = FitWorkspace::new();
@@ -125,29 +125,37 @@ fn steady_state_fit_iterations_allocate_nothing() {
         });
         // Size the buffers for this exact shape, then count.
         estimator
-            .fit_warm_with(&training, &seed_model, &mut ws)
+            .fit_warm_with(training, &seed_model, &mut ws)
             .expect("sizing refit");
         let before = ALLOCS.load(Ordering::Relaxed);
         let (_, report) = estimator
-            .fit_warm_with(&training, &seed_model, &mut ws)
+            .fit_warm_with(training, &seed_model, &mut ws)
             .expect("counted refit");
         (ALLOCS.load(Ordering::Relaxed) - before, report.iterations)
     };
 
     let (allocs_short, iters_short) = counted_refit(5);
     let (allocs_long, iters_long) = counted_refit(15);
-    gpm::par::set_threads(None);
-
     assert_eq!(
         (iters_short, iters_long),
         (5, 15),
         "the negative tolerance must force the full iteration budget"
     );
-    assert_eq!(
-        allocs_long,
-        allocs_short,
-        "{} heap allocations leaked into {} extra alternation iterations",
-        allocs_long.saturating_sub(allocs_short),
-        iters_long - iters_short
-    );
+    (allocs_short, allocs_long)
+}
+
+#[test]
+fn steady_state_fit_iterations_allocate_nothing() {
+    let training = synthetic_training();
+    for threads in [1, 4] {
+        gpm::par::set_threads(Some(threads));
+        let (allocs_short, allocs_long) = short_and_long_refit_allocations(&training);
+        gpm::par::set_threads(None);
+        assert_eq!(
+            allocs_long,
+            allocs_short,
+            "{} heap allocations leaked into 10 extra alternation iterations at {threads} threads",
+            allocs_long.saturating_sub(allocs_short)
+        );
+    }
 }
