@@ -2,9 +2,9 @@
 //!
 //! Runs the same k-fold cross-validation workload at 1, 2, 4 and 8
 //! worker threads, prints a threads-vs-wall-clock table and writes the
-//! raw numbers to `BENCH_scaling.json`. Cross-validation is the heaviest
-//! parallel path (each fold fits a full model), so it bounds what the
-//! other wired-in hot paths can gain.
+//! raw numbers to `BENCH_scaling.json`. Cross-validation is the
+//! estimator's one parallel level: its folds fan out over `gpm-par`, and
+//! each fold's fit runs sequentially on its worker.
 //!
 //! The reproducibility contract holds throughout: every run checks that
 //! its `CvReport` is identical to the single-threaded one.
