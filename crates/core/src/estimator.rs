@@ -17,9 +17,11 @@
 //!    Eq. 12 — the core voltage may therefore differ across memory
 //!    frequencies, which the paper predicts on the GTX Titan X, and each
 //!    voltage also absorbs the per-configuration residual left by using
-//!    reference-configuration events. Monotonicity in each domain's own
-//!    frequency is then enforced by weighted isotonic regression, with
-//!    the reference pinned at 1.
+//!    reference-configuration events. Each configuration's pair depends
+//!    only on `X` and its own observations, so the configurations are
+//!    solved one after another, in place. Monotonicity in each domain's
+//!    own frequency is then enforced by weighted isotonic regression,
+//!    with the reference pinned at 1.
 //! 3. **Coefficient step** — with `V̄` fixed, re-solve for `X` over *all*
 //!    configurations, by non-negative least squares (coefficients are
 //!    physically non-negative; a plain ridge solve is available for the
@@ -33,7 +35,9 @@
 //! observations, a cached design panel at the current voltages, and the
 //! solver workspaces. A fit with a fresh workspace, a reused workspace,
 //! or the plain [`Estimator::fit`] entry point produces bit-identical
-//! models — the workspace only removes steady-state allocations.
+//! models — the workspace only removes steady-state allocations. The
+//! alternation runs on the calling thread, so the model is the same at
+//! any `gpm-par` thread count.
 
 use crate::workspace::FitWorkspace;
 use crate::{DomainParams, MicrobenchSample, ModelError, PowerModel, TrainingSet, VoltageTable};

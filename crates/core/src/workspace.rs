@@ -49,7 +49,8 @@ pub(crate) struct GroupScratch {
 /// [`crate::Estimator::fit_with_workspace`] /
 /// [`crate::Estimator::fit_warm_with`]. The first fit sizes every
 /// buffer ("warm-up"); subsequent fits over same-shaped training sets
-/// perform zero steady-state heap allocations in the alternation loop.
+/// perform zero steady-state heap allocations in the alternation loop,
+/// at any `gpm-par` thread count: the loop runs on the calling thread.
 /// Results are bit-identical to the workspace-free entry points.
 #[derive(Debug, Default)]
 pub struct FitWorkspace {
