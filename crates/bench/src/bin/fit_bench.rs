@@ -7,9 +7,9 @@
 //! a robust (Huber IRLS) fit — plus a 5-fold cross-validation run, and
 //! reports observations/sec for each.
 //!
-//! Conformance comes before speed: the workspace and workspace-free
-//! entry points must produce byte-identical model JSON (a fast wrong
-//! fit must fail the bench, not win it), and the steady-state
+//! Conformance comes before speed: fits through a reused workspace must
+//! produce model JSON byte-identical to fits through a fresh one (a
+//! fast wrong fit must fail the bench, not win it), and the steady-state
 //! allocations per alternation iteration are measured with a counting
 //! global allocator by differencing a 5-iteration against a
 //! 15-iteration warm refit, at 1 and at 4 `gpm-par` threads — the
@@ -153,13 +153,13 @@ fn main() {
     let mut ws = FitWorkspace::new();
 
     // --- Conformance before speed -------------------------------------
-    // The workspace entry points must be byte-identical to the plain
-    // ones, on first use and on reuse, for cold and warm fits alike.
+    // Fits through the shared workspace must be byte-identical to fits
+    // through a fresh one, on first use and on reuse, cold and warm.
     let (fresh_model, fresh_report) = estimator.fit_with_report(&training).expect("cold fit");
     let fresh_json = fresh_model.to_json().expect("model serializes");
     for pass in ["first use", "reused"] {
         let (m, r) = estimator
-            .fit_with_workspace(&training, &mut ws)
+            .fit_with(&training, None, &mut ws)
             .expect("workspace fit");
         assert!(
             m.to_json().expect("model serializes") == fresh_json
@@ -169,20 +169,20 @@ fn main() {
         );
     }
     let warm_json = estimator
-        .fit_warm(&training, &fresh_model)
+        .fit_with(&training, Some(&fresh_model), &mut FitWorkspace::new())
         .expect("warm fit")
         .0
         .to_json()
         .expect("model serializes");
     let (warm_model, _) = estimator
-        .fit_warm_with(&training, &fresh_model, &mut ws)
+        .fit_with(&training, Some(&fresh_model), &mut ws)
         .expect("warm workspace fit");
     assert_eq!(
         warm_model.to_json().expect("model serializes"),
         warm_json,
-        "warm workspace refit diverged from Estimator::fit_warm"
+        "warm refit through the reused workspace diverged from a fresh-workspace refit"
     );
-    println!("conformance: workspace fits byte-identical to the plain entry points");
+    println!("conformance: reused-workspace fits byte-identical to fresh-workspace fits");
 
     // --- Matched-quality warm budget -----------------------------------
     // A recalibration is done once it re-achieves the previous model's
@@ -200,7 +200,7 @@ fn main() {
             ..EstimatorConfig::default()
         });
         let (_, r) = est
-            .fit_warm_with(&training, &fresh_model, &mut ws)
+            .fit_with(&training, Some(&fresh_model), &mut ws)
             .expect("warm budget probe");
         if *r.rmse_history.last().expect("warm fit records RMSE") <= cold_rmse {
             warm_iterations = r.iterations;
@@ -231,11 +231,11 @@ fn main() {
             ..probe.config().clone()
         });
         // Warm the buffers to this shape first, then count.
-        est.fit_warm_with(&training, &fresh_model, &mut ws)
+        est.fit_with(&training, Some(&fresh_model), &mut ws)
             .expect("sizing fit");
         let before = ALLOCS.load(Ordering::Relaxed);
         let (_, r) = est
-            .fit_warm_with(&training, &fresh_model, &mut ws)
+            .fit_with(&training, Some(&fresh_model), &mut ws)
             .expect("counted fit");
         (ALLOCS.load(Ordering::Relaxed) - before, r.iterations)
     };
@@ -275,14 +275,14 @@ fn main() {
     });
     let cold_ws_s = best_of(reps, || {
         estimator
-            .fit_with_workspace(&training, &mut ws)
+            .fit_with(&training, None, &mut ws)
             .expect("workspace fit")
             .1
             .training_mape
     });
     let warm_s = best_of(reps, || {
         warm_est
-            .fit_warm_with(&training, &fresh_model, &mut ws)
+            .fit_with(&training, Some(&fresh_model), &mut ws)
             .expect("warm refit")
             .1
             .training_mape
@@ -312,13 +312,13 @@ fn main() {
         });
         let mut robust_ws = FitWorkspace::new();
         let robust_iters = robust_est
-            .fit_with_workspace(&training, &mut robust_ws)
+            .fit_with(&training, None, &mut robust_ws)
             .expect("robust fit")
             .1
             .iterations;
         let robust_s = best_of(reps, || {
             robust_est
-                .fit_with_workspace(&training, &mut robust_ws)
+                .fit_with(&training, None, &mut robust_ws)
                 .expect("robust fit")
                 .1
                 .training_mape

@@ -33,14 +33,17 @@
 //!
 //! All scratch state lives in a [`FitWorkspace`]: the flattened
 //! observations, a cached design panel at the current voltages, and the
-//! solver workspaces. A fit with a fresh workspace, a reused workspace,
-//! or the plain [`Estimator::fit`] entry point produces bit-identical
-//! models — the workspace only removes steady-state allocations. The
-//! alternation runs on the calling thread, so the model is the same at
-//! any `gpm-par` thread count.
+//! solver workspaces. [`Estimator::fit_with`] takes the workspace (and an
+//! optional warm-start model); a fit with a fresh workspace, a reused
+//! workspace, or the plain [`Estimator::fit`] entry point produces
+//! bit-identical models — the workspace only removes steady-state
+//! allocations. The alternation runs on the calling thread, so the model
+//! is the same at any `gpm-par` thread count.
 
 use crate::workspace::FitWorkspace;
-use crate::{DomainParams, MicrobenchSample, ModelError, PowerModel, TrainingSet, VoltageTable};
+use crate::{
+    DomainParams, MicrobenchSample, ModelError, PhaseTimings, PowerModel, TrainingSet, VoltageTable,
+};
 use gpm_json::impl_json;
 use gpm_linalg::batch::{domain_residuals_into, dot_rows_into};
 use gpm_linalg::{
@@ -48,8 +51,8 @@ use gpm_linalg::{
     stats, LstsqWorkspace, Matrix, NnlsWorkspace,
 };
 use gpm_obs::SpanHandle;
-use gpm_par::timer::{Collector, PhaseTimings};
 use gpm_spec::{Component, FreqConfig};
+use std::time::Instant;
 
 /// Number of model coefficients: `[β₀, β₁, ω₁..ω₆, β₂, β₃, ω_mem]`.
 pub(crate) const NUM_PARAMS: usize = 11;
@@ -58,6 +61,17 @@ pub(crate) const V_BOUNDS: (f64, f64) = (0.25, 3.0);
 /// Weight that effectively pins the reference voltage at 1 in the
 /// isotonic projection.
 pub(crate) const PIN_WEIGHT: f64 = 1.0e9;
+/// Tikhonov ridge of the coefficient solve when `nonnegative` is off
+/// (handles the bootstrap rank deficiency).
+const RIDGE: f64 = 1e-6;
+/// Coordinate-descent sweeps inside each voltage step.
+const VOLTAGE_SWEEPS: usize = 3;
+/// Huber tuning constant in robust mode: residuals beyond `HUBER_K x
+/// scale` get down-weighted (1.345 gives 95% efficiency under Gaussian
+/// noise).
+const HUBER_K: f64 = 1.345;
+/// IRLS reweighting passes per coefficient solve in robust mode.
+const ROBUST_ITERATIONS: usize = 3;
 
 /// Tuning knobs for [`Estimator`].
 #[derive(Debug, Clone, PartialEq)]
@@ -76,11 +90,6 @@ pub struct EstimatorConfig {
     /// `V̄ ≡ 1` — the constant-voltage ablation, equivalent to prior
     /// linear-in-frequency models.
     pub estimate_voltages: bool,
-    /// Tikhonov ridge used when `nonnegative` is off (handles the
-    /// bootstrap rank deficiency).
-    pub ridge: f64,
-    /// Coordinate-descent sweeps inside each voltage step.
-    pub voltage_sweeps: usize,
     /// Minimize *relative* (percentage) error instead of absolute watts:
     /// every observation's residual is divided by its measured power. The
     /// paper's Eq. 11/12 minimize absolute squared error, which weights
@@ -95,12 +104,6 @@ pub struct EstimatorConfig {
     /// is zero across the entire training set (permanently-unavailable
     /// counters zero-filled by the resilient profiler). Off by default.
     pub robust: bool,
-    /// Huber tuning constant in robust mode: residuals beyond
-    /// `huber_k x scale` get down-weighted (1.345 gives 95% efficiency
-    /// under Gaussian noise).
-    pub huber_k: f64,
-    /// IRLS reweighting passes per coefficient solve in robust mode.
-    pub robust_iterations: usize,
     /// Convergence watchdog: the joint V̄/X iteration is declared
     /// divergent when the RMSE is non-finite or exceeds
     /// `divergence_factor x` the best RMSE seen so far.
@@ -127,12 +130,8 @@ impl Default for EstimatorConfig {
             nonnegative: true,
             enforce_monotonic_voltage: true,
             estimate_voltages: true,
-            ridge: 1e-6,
-            voltage_sweeps: 3,
             relative_error: false,
             robust: false,
-            huber_k: 1.345,
-            robust_iterations: 3,
             divergence_factor: 10.0,
             max_restarts: 2,
             max_fit_seconds: 0.0,
@@ -160,7 +159,7 @@ pub struct FitReport {
     pub coefficient_sigma: Vec<f64>,
     /// Wall-clock time per estimation phase (bootstrap, voltage step,
     /// coefficient step, diagnostics) — printed by the CLI's `--timings`
-    /// flag and aggregated across cross-validation folds.
+    /// flag.
     pub timings: PhaseTimings,
     /// Whether the fit ran in robust (Huber IRLS) mode.
     pub robust: bool,
@@ -227,75 +226,51 @@ impl Estimator {
     ///
     /// # Errors
     ///
-    /// See [`Estimator::fit_with_report`].
+    /// See [`Estimator::fit_with`].
     pub fn fit(&self, training: &TrainingSet) -> Result<PowerModel, ModelError> {
         self.fit_with_report(training).map(|(m, _)| m)
     }
 
-    /// Fits a power model and returns convergence diagnostics.
+    /// Fits a power model cold, with a fresh workspace, and returns
+    /// convergence diagnostics.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InsufficientTraining`] for unusable training
-    /// sets and [`ModelError::Numerical`] if a regression step fails
-    /// (e.g. degenerate, utilization-free training data).
+    /// See [`Estimator::fit_with`].
     pub fn fit_with_report(
         &self,
         training: &TrainingSet,
     ) -> Result<(PowerModel, FitReport), ModelError> {
-        let mut ws = FitWorkspace::new();
-        self.fit_inner(training, None, None, None, &mut ws)
+        self.fit_with(training, None, &mut FitWorkspace::new())
     }
 
-    /// Like [`Estimator::fit_with_report`] but reusing a caller-owned
-    /// [`FitWorkspace`]: after the first (sizing) fit, repeated fits over
-    /// same-shaped training sets perform zero steady-state heap
-    /// allocations in the alternation loop. Bit-identical to
-    /// [`Estimator::fit_with_report`].
+    /// Fits a power model through a caller-owned [`FitWorkspace`] and
+    /// returns convergence diagnostics.
+    ///
+    /// With `warm: Some(previous)` the previous model's coefficient vector
+    /// and voltage table seed the alternation instead of the Eq. 11
+    /// bootstrap. This is the building block of the paper's real-time
+    /// direction: periodic recalibration reuses the last model and
+    /// converges in far fewer iterations.
+    ///
+    /// After the first (sizing) fit, repeated fits over same-shaped
+    /// training sets perform zero steady-state heap allocations in the
+    /// alternation loop. The result is bit-identical whether the
+    /// workspace is fresh or reused.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Estimator::fit_with_report`].
-    pub fn fit_with_workspace(
+    /// Returns [`ModelError::InsufficientTraining`] for unusable training
+    /// sets or a warm-start model with an unexpected coefficient layout,
+    /// and [`ModelError::Numerical`] if a regression step fails (e.g.
+    /// degenerate, utilization-free training data).
+    pub fn fit_with(
         &self,
         training: &TrainingSet,
+        warm: Option<&PowerModel>,
         ws: &mut FitWorkspace,
     ) -> Result<(PowerModel, FitReport), ModelError> {
-        self.fit_inner(training, None, None, None, ws)
-    }
-
-    /// Fits with a *warm start* from a previously fitted model: the
-    /// coefficient vector and the voltage table seed the alternation
-    /// instead of the Eq. 11 bootstrap. This is the building block of
-    /// the paper's real-time direction — periodic recalibration reuses
-    /// the last model and converges in far fewer iterations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Estimator::fit_with_report`].
-    pub fn fit_warm(
-        &self,
-        training: &TrainingSet,
-        previous: &PowerModel,
-    ) -> Result<(PowerModel, FitReport), ModelError> {
-        let mut ws = FitWorkspace::new();
-        self.fit_inner(training, Some(previous), None, None, &mut ws)
-    }
-
-    /// [`Estimator::fit_warm`] with a reusable [`FitWorkspace`] — the
-    /// allocation-free periodic-recalibration path. Bit-identical to
-    /// [`Estimator::fit_warm`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Estimator::fit_with_report`].
-    pub fn fit_warm_with(
-        &self,
-        training: &TrainingSet,
-        previous: &PowerModel,
-        ws: &mut FitWorkspace,
-    ) -> Result<(PowerModel, FitReport), ModelError> {
-        self.fit_inner(training, Some(previous), None, None, ws)
+        self.fit_inner(training, warm, None, None, ws)
     }
 
     /// Cross-validation fold fit: trains on the samples whose `kept`
@@ -308,8 +283,7 @@ impl Estimator {
         kept: &[bool],
         parent: Option<&SpanHandle>,
     ) -> Result<(PowerModel, FitReport), ModelError> {
-        let mut ws = FitWorkspace::new();
-        self.fit_inner(training, None, parent, Some(kept), &mut ws)
+        self.fit_inner(training, None, parent, Some(kept), &mut FitWorkspace::new())
     }
 
     fn fit_inner(
@@ -388,11 +362,11 @@ impl Estimator {
         }
         fill_panel(training, ws);
 
-        let timings = Collector::new();
+        let mut timings = PhaseTimings::default();
 
         // --- Step 1: bootstrap on {F1, F2, F3} with V̄ ≡ 1 (cold start),
         // or reuse the previous coefficients (warm start).
-        let bootstrap_guard = timings.scoped("bootstrap");
+        let bootstrap_start = Instant::now();
         let bootstrap_span = gpm_obs::span_under(fit_span.as_deref(), "estimator.bootstrap", 0);
         let mut x = [0.0; NUM_PARAMS];
         match warm {
@@ -420,7 +394,7 @@ impl Estimator {
             }
         }
         drop(bootstrap_span);
-        drop(bootstrap_guard);
+        timings.record("bootstrap", bootstrap_start.elapsed());
 
         // --- Steps 2-4: alternate voltage and coefficient fits, under a
         // convergence watchdog: a diverging alternation (non-finite RMSE,
@@ -428,7 +402,7 @@ impl Estimator {
         // a damped restart — voltages pulled halfway back toward the
         // V̄ ≡ 1 bootstrap, coefficients re-solved — up to `max_restarts`
         // times before the fit gives up with `converged = false`.
-        let fit_start = std::time::Instant::now();
+        let fit_start = Instant::now();
         let mut rmse_history = Vec::with_capacity(self.config.max_iterations + 1);
         let mut converged = false;
         let mut iterations = 0;
@@ -445,18 +419,18 @@ impl Estimator {
                 // current iterate so *both* alternation steps — not just
                 // the coefficient solve — stop chasing corrupted
                 // observations.
-                huber_weights_ws(self.config.huber_k, &x, ws);
+                huber_weights_ws(&x, ws);
             }
             if self.config.estimate_voltages {
-                let _g = timings.scoped("voltage_step");
+                let start = Instant::now();
                 fit_voltages_ws(&self.config, reference, &x, training, ws);
                 fill_panel(training, ws);
+                timings.record("voltage_step", start.elapsed());
             }
-            {
-                let _g = timings.scoped("coefficient_step");
-                self.solve_coefficients_ws(ws, None, &mut robust_reweights, &mut x)?;
-                gpm_obs::counter_add("estimator.coefficient_solves", 1);
-            }
+            let start = Instant::now();
+            self.solve_coefficients_ws(ws, None, &mut robust_reweights, &mut x)?;
+            gpm_obs::counter_add("estimator.coefficient_solves", 1);
+            timings.record("coefficient_step", start.elapsed());
             let rmse = rmse_of_ws(&x, ws);
             if let Some(s) = iter_span.as_deref() {
                 s.set_attr("iteration", iter);
@@ -527,7 +501,7 @@ impl Estimator {
         .with_residual_sigma(residual_sigma);
 
         // Training MAPE and coefficient standard errors for the report.
-        let diagnostics_guard = timings.scoped("diagnostics");
+        let diagnostics_start = Instant::now();
         let diagnostics_span = gpm_obs::span_under(
             fit_span.as_deref(),
             "estimator.diagnostics",
@@ -535,7 +509,7 @@ impl Estimator {
         );
         let (training_mape, coefficient_sigma) = diagnostics_ws(ws, &x)?;
         drop(diagnostics_span);
-        drop(diagnostics_guard);
+        timings.record("diagnostics", diagnostics_start.elapsed());
 
         if let Some(s) = fit_span.as_deref() {
             s.set_attr("iterations", iterations);
@@ -562,7 +536,7 @@ impl Estimator {
                 rmse_history,
                 training_mape,
                 coefficient_sigma,
-                timings: timings.report(),
+                timings,
                 robust: self.config.robust,
                 watchdog_restarts,
                 robust_reweights,
@@ -630,7 +604,6 @@ impl Estimator {
             rows,
             y,
             self.config.nonnegative,
-            self.config.ridge,
             a,
             nnls,
             lstsq,
@@ -642,7 +615,7 @@ impl Estimator {
             // observations without discarding them outright. Residuals
             // use the full-width rows — dropped columns contribute +0.0
             // against their pinned-zero coefficients.
-            for _ in 0..self.config.robust_iterations {
+            for _ in 0..ROBUST_ITERATIONS {
                 resid.clear();
                 resid.resize(y.len(), 0.0);
                 dot_rows_into(rows, &x_out[..], resid)
@@ -654,7 +627,7 @@ impl Estimator {
                 abs.extend(resid.iter().map(|r| r.abs()));
                 abs.sort_unstable_by(f64::total_cmp);
                 let scale = (1.4826 * abs[abs.len() / 2]).max(1e-9);
-                let cutoff = self.config.huber_k * scale;
+                let cutoff = HUBER_K * scale;
                 wrows.clear();
                 wy.clear();
                 for ((chunk, &yi), &rv) in rows
@@ -671,7 +644,6 @@ impl Estimator {
                     wrows,
                     wy,
                     self.config.nonnegative,
-                    self.config.ridge,
                     a,
                     nnls,
                     lstsq,
@@ -679,10 +651,7 @@ impl Estimator {
                 )?;
                 *reweights += 1;
             }
-            gpm_obs::counter_add(
-                "estimator.robust_reweights",
-                self.config.robust_iterations as u64,
-            );
+            gpm_obs::counter_add("estimator.robust_reweights", ROBUST_ITERATIONS as u64);
         }
         Ok(())
     }
@@ -700,7 +669,6 @@ fn solve_reduced(
     rows: &[f64],
     y: &[f64],
     nonnegative: bool,
-    ridge: f64,
     a: &mut Matrix,
     nnls_ws: &mut NnlsWorkspace,
     lstsq_ws: &mut LstsqWorkspace,
@@ -725,7 +693,7 @@ fn solve_reduced(
         }
         nnls_with(a, y, &start[..len], nnls_ws)?
     } else {
-        ridge_lstsq_with(a, y, ridge, lstsq_ws)?
+        ridge_lstsq_with(a, y, RIDGE, lstsq_ws)?
     };
     x_out.fill(0.0);
     for (&i, &v) in keep.iter().zip(xr) {
@@ -780,7 +748,7 @@ fn fit_voltages_ws(
     }
 
     let relative = cfg.relative_error;
-    for _ in 0..cfg.voltage_sweeps {
+    for _ in 0..VOLTAGE_SWEEPS {
         let mut solved = 0u64;
         for (g, &config) in configs.iter().enumerate() {
             if config == reference {
@@ -991,9 +959,9 @@ fn minimize_quartic_slices(b: f64, a: &[f64], r: &[f64], w: &[f64]) -> Option<f6
 }
 
 /// Per-observation Huber weights under the current iterate (read off the
-/// cached panel): 1 inside `k x` the MAD-based residual scale, shrinking
-/// as `k·scale/|r|` beyond.
-fn huber_weights_ws(k: f64, x: &[f64; NUM_PARAMS], ws: &mut FitWorkspace) {
+/// cached panel): 1 inside `HUBER_K x` the MAD-based residual scale,
+/// shrinking as `HUBER_K·scale/|r|` beyond.
+fn huber_weights_ws(x: &[f64; NUM_PARAMS], ws: &mut FitWorkspace) {
     let FitWorkspace {
         obs,
         panel,
@@ -1012,7 +980,7 @@ fn huber_weights_ws(k: f64, x: &[f64; NUM_PARAMS], ws: &mut FitWorkspace) {
     abs.extend(resid.iter().map(|r| r.abs()));
     abs.sort_unstable_by(f64::total_cmp);
     let scale = (1.4826 * abs[abs.len() / 2]).max(1e-9);
-    let cutoff = k * scale;
+    let cutoff = HUBER_K * scale;
     obs_weights.clear();
     obs_weights.extend(resid.iter().map(|r| huber_weight(*r, cutoff)));
 }
@@ -1342,7 +1310,9 @@ mod tests {
         let (training, _) = synthetic_training(&spec);
         let estimator = Estimator::new();
         let (model, cold) = estimator.fit_with_report(&training).unwrap();
-        let (warm_model, warm) = estimator.fit_warm(&training, &model).unwrap();
+        let (warm_model, warm) = estimator
+            .fit_with(&training, Some(&model), &mut FitWorkspace::new())
+            .unwrap();
         assert!(
             warm.iterations <= cold.iterations,
             "warm {} vs cold {} iterations",
@@ -1366,10 +1336,9 @@ mod tests {
         let (fresh_model, fresh_report) = estimator.fit_with_report(&training).unwrap();
 
         let mut ws = FitWorkspace::new();
-        let (first_model, first_report) = estimator.fit_with_workspace(&training, &mut ws).unwrap();
+        let (first_model, first_report) = estimator.fit_with(&training, None, &mut ws).unwrap();
         // Second fit reuses grown (and now dirty) buffers.
-        let (reused_model, reused_report) =
-            estimator.fit_with_workspace(&training, &mut ws).unwrap();
+        let (reused_model, reused_report) = estimator.fit_with(&training, None, &mut ws).unwrap();
 
         for (label, model, report) in [
             ("first", &first_model, &first_report),
@@ -1378,7 +1347,7 @@ mod tests {
             assert_eq!(
                 model.to_json().unwrap(),
                 fresh_model.to_json().unwrap(),
-                "{label} workspace fit must match the workspace-free fit exactly"
+                "{label} workspace fit must match the fresh-workspace fit exactly"
             );
             assert_eq!(report.rmse_history, fresh_report.rmse_history, "{label}");
             assert_eq!(report.training_mape, fresh_report.training_mape, "{label}");
@@ -1388,12 +1357,50 @@ mod tests {
             );
         }
 
-        // Warm refits through the same workspace match fit_warm exactly.
-        let (warm_a, _) = estimator.fit_warm(&training, &fresh_model).unwrap();
+        // A warm refit through the reused workspace matches one through a
+        // fresh workspace exactly.
+        let (warm_a, _) = estimator
+            .fit_with(&training, Some(&fresh_model), &mut FitWorkspace::new())
+            .unwrap();
         let (warm_b, _) = estimator
-            .fit_warm_with(&training, &fresh_model, &mut ws)
+            .fit_with(&training, Some(&fresh_model), &mut ws)
             .unwrap();
         assert_eq!(warm_a.to_json().unwrap(), warm_b.to_json().unwrap());
+    }
+
+    #[test]
+    fn reports_record_every_phase_once_per_iteration() {
+        /// `label:calls` of every recorded phase, sorted by label.
+        fn calls(report: &FitReport) -> String {
+            let entries = report.timings.entries().iter();
+            let mut calls: Vec<String> = entries
+                .map(|e| format!("{}:{}", e.label, e.calls))
+                .collect();
+            calls.sort_unstable();
+            calls.join(" ")
+        }
+        let spec = devices::gtx_titan_x();
+        let (training, _) = synthetic_training(&spec);
+        let estimator = Estimator::new();
+        let (model, cold) = estimator.fit_with_report(&training).unwrap();
+        let (_, warm) = estimator
+            .fit_with(&training, Some(&model), &mut FitWorkspace::new())
+            .unwrap();
+        for report in [&cold, &warm] {
+            let n = report.iterations;
+            assert_eq!(report.watchdog_restarts, 0);
+            let want = format!("bootstrap:1 coefficient_step:{n} diagnostics:1 voltage_step:{n}");
+            assert_eq!(calls(report), want);
+        }
+
+        let flat = Estimator::with_config(EstimatorConfig {
+            estimate_voltages: false,
+            ..EstimatorConfig::default()
+        });
+        let (_, report) = flat.fit_with_report(&training).unwrap();
+        let n = report.iterations;
+        let want = format!("bootstrap:1 coefficient_step:{n} diagnostics:1");
+        assert_eq!(calls(&report), want);
     }
 
     #[test]

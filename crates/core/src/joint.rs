@@ -18,12 +18,14 @@
 //! LM solves reuse one QR workspace.
 
 use crate::estimator::{design_row, NUM_PARAMS, V_BOUNDS};
-use crate::{DomainParams, FitReport, ModelError, PowerModel, TrainingSet, VoltageTable};
+use crate::{
+    DomainParams, FitReport, ModelError, PhaseTimings, PowerModel, TrainingSet, VoltageTable,
+};
 use gpm_linalg::batch::dot_rows_into;
 use gpm_linalg::{isotonic_increasing, ridge_lstsq_with, stats, LstsqWorkspace, Matrix};
-use gpm_par::timer::Collector;
 use gpm_spec::{Component, FreqConfig, Mhz};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Tuning knobs for [`fit_joint`].
 #[derive(Debug, Clone, PartialEq)]
@@ -205,7 +207,7 @@ pub fn fit_joint(
 
     let sse = |r: &[f64]| -> f64 { r.iter().map(|e| e * e).sum() };
 
-    let timings = Collector::new();
+    let mut timings = PhaseTimings::default();
     let joint_span = gpm_obs::span("joint.fit", 0);
     if let Some(s) = joint_span.as_deref() {
         s.set_attr("observations", obs.len());
@@ -223,7 +225,7 @@ pub fn fit_joint(
         let iter_span = gpm_obs::span_under(joint_span.as_deref(), "joint.iteration", iter as u64);
         // Analytical Jacobian, one independent row per observation,
         // assembled into the reused flat buffer.
-        let jac_guard = timings.scoped("jacobian");
+        let jacobian_start = Instant::now();
         jacobian_into(
             &obs,
             &theta,
@@ -234,12 +236,12 @@ pub fn fit_joint(
             &mut jac_flat,
         );
         jac.copy_from_flat(obs.len(), n_params, &jac_flat);
-        drop(jac_guard);
+        timings.record("jacobian", jacobian_start.elapsed());
         neg_r.clear();
         neg_r.extend(r.iter().map(|e| -e));
 
         // Damped step, retried with larger damping until SSE improves.
-        let _lm_guard = timings.scoped("lm_step");
+        let lm_start = Instant::now();
         let mut stepped = false;
         for _ in 0..8 {
             let delta = ridge_lstsq_with(&jac, &neg_r, lambda, &mut lstsq)?;
@@ -271,6 +273,7 @@ pub fn fit_joint(
             }
             lambda *= 4.0;
         }
+        timings.record("lm_step", lm_start.elapsed());
         if !stepped {
             converged = true; // no descent direction left at any damping
         }
@@ -329,7 +332,7 @@ pub fn fit_joint(
             rmse_history,
             training_mape,
             coefficient_sigma: Vec::new(),
-            timings: timings.report(),
+            timings,
             robust: false,
             watchdog_restarts: 0,
             robust_reweights: 0,

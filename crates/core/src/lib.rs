@@ -45,6 +45,7 @@ pub mod events;
 mod joint;
 mod model;
 mod report;
+mod timings;
 mod utilization;
 mod workspace;
 
@@ -57,5 +58,6 @@ pub use estimator::{Estimator, EstimatorConfig, FitReport};
 pub use joint::{fit_joint, JointFitConfig};
 pub use model::{DomainParams, PowerModel, VoltageTable};
 pub use report::{AccuracyEntry, AccuracyReport};
+pub use timings::{PhaseTiming, PhaseTimings};
 pub use utilization::{l2_peak_from_profiles, Utilizations};
 pub use workspace::FitWorkspace;

@@ -46,12 +46,11 @@ pub(crate) struct GroupScratch {
 /// Reusable solver state for [`crate::Estimator`] fits.
 ///
 /// Create one with [`FitWorkspace::new`] and pass it to
-/// [`crate::Estimator::fit_with_workspace`] /
-/// [`crate::Estimator::fit_warm_with`]. The first fit sizes every
-/// buffer ("warm-up"); subsequent fits over same-shaped training sets
-/// perform zero steady-state heap allocations in the alternation loop,
-/// at any `gpm-par` thread count: the loop runs on the calling thread.
-/// Results are bit-identical to the workspace-free entry points.
+/// [`crate::Estimator::fit_with`], cold or warm. The first fit sizes
+/// every buffer ("warm-up"); subsequent fits over same-shaped training
+/// sets perform zero steady-state heap allocations in the alternation
+/// loop, at any `gpm-par` thread count: the loop runs on the calling
+/// thread. Results are bit-identical to a fit through a fresh workspace.
 #[derive(Debug, Default)]
 pub struct FitWorkspace {
     // --- per-fit problem layout (rebuilt by `prepare`) ---

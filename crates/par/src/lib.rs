@@ -30,15 +30,9 @@
 //! A pool call spawns its workers afresh, so it pays only for items that
 //! each cost well over a thread spawn. The estimator's per-configuration
 //! voltage solves do not: they run in a plain loop inside the fit.
-//!
-//! The [`timer`] module is the observability companion: lightweight scope
-//! guards that aggregate per-phase wall-clock time into a report carried
-//! by `FitReport` and printed by the CLI's `--timings` flag.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod timer;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,10 +75,10 @@ pub fn current_threads() -> usize {
 
 /// A worker task panicked inside the pool.
 ///
-/// Returned by the fallible entry points ([`try_par_map`],
-/// [`try_par_map_indices`]); the infallible ones re-raise the original
-/// payload instead. The pool itself always drains and joins cleanly, so a
-/// panic never hangs the submitting thread or poisons later calls.
+/// Returned by the fallible entry point, [`try_par_map_indices`]; the
+/// infallible ones re-raise the original payload instead. The pool itself
+/// always drains and joins cleanly, so a panic never hangs the submitting
+/// thread or poisons later calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolPanic {
     message: String,
@@ -132,10 +126,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    match run_pool(items, f) {
-        Ok(results) => results,
-        Err(payload) => resume_unwind(payload),
-    }
+    par_map_with(current_threads(), items, f)
 }
 
 /// Like [`par_map`] but with an explicit worker count instead of the
@@ -155,34 +146,18 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    match run_pool_with(threads.max(1), items, f) {
+    match run_pool(threads.max(1), items, f) {
         Ok(results) => results,
         Err(payload) => resume_unwind(payload),
     }
 }
 
-/// Fallible variant of [`par_map`]: a worker panic surfaces as
+/// Fallible variant of [`par_map_indices`]: a worker panic surfaces as
 /// `Err(PoolPanic)` on the submitting thread instead of unwinding it.
 ///
 /// All pool state is per-call, so after an error the pool is fully
 /// drained and subsequent parallel calls behave normally — a panicking
 /// campaign item can never hang or poison the next campaign.
-///
-/// # Errors
-///
-/// Returns [`PoolPanic`] carrying the first worker's panic message.
-pub fn try_par_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, PoolPanic>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_pool(items, f).map_err(|payload| PoolPanic {
-        message: panic_message(payload.as_ref()),
-    })
-}
-
-/// Fallible variant of [`par_map_indices`]; see [`try_par_map`].
 ///
 /// # Errors
 ///
@@ -193,56 +168,17 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let indices: Vec<usize> = (0..n).collect();
-    try_par_map(&indices, |&i| f(i))
+    run_pool(current_threads(), &indices, |&i| f(i)).map_err(|payload| PoolPanic {
+        message: panic_message(payload.as_ref()),
+    })
 }
 
-/// The shared pool core: runs the map and reports the first worker panic
-/// as an `Err` payload, leaving re-raise vs. typed-error policy to the
-/// entry points. The sequential fast path catches panics too, so the
-/// fallible entry points behave identically at every thread count.
-fn run_pool<T, R, F>(items: &[T], f: F) -> Result<Vec<R>, Box<dyn std::any::Any + Send>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_pool_with(current_threads(), items, f)
-}
-
-/// Emits the schedule-independent per-call pool metrics (`par.calls`,
-/// `par.items`, `gauge par.threads`) when a recorder is installed;
-/// returns whether tracing is active. Every pool entry point routes
-/// through this so the metric name set and counts pinned by the golden
-/// traces stay identical.
-fn emit_call_metrics(threads: usize, len: usize) -> bool {
-    // Pool telemetry when a recorder is installed. `par.calls` and
-    // `par.items` are schedule-independent; threads, block claims,
-    // steals and queue depths vary with the thread count and are
-    // treated as volatile by trace normalization.
-    let traced = gpm_obs::active().is_some();
-    if traced {
-        gpm_obs::counter_add("par.calls", 1);
-        gpm_obs::counter_add("par.items", len as u64);
-        gpm_obs::gauge_set("par.threads", threads as f64);
-    }
-    traced
-}
-
-/// Emits the sequential-fast-path schedule metrics: one "block" covering
-/// the whole slice, zero steals. Keeps the metric *name set* identical to
-/// the pooled path so a normalized single-threaded trace pins the same
-/// instruments.
-fn emit_sequential_metrics(traced: bool, len: usize) {
-    if traced {
-        gpm_obs::counter_add("par.blocks", 1);
-        gpm_obs::counter_add("par.steals", 0);
-        gpm_obs::histogram_record("par.queue_depth", len as f64);
-    }
-}
-
-/// [`run_pool`] with the worker count chosen by the caller rather than
-/// the global resolution ([`par_map_with`]'s backing).
-fn run_pool_with<T, R, F>(
+/// The shared pool core: runs the map on up to `threads` workers and
+/// reports the first worker panic as an `Err` payload, leaving re-raise
+/// vs. typed-error policy to the entry points. The sequential fast path
+/// catches panics too, so the fallible entry point behaves identically
+/// at every thread count.
+fn run_pool<T, R, F>(
     threads: usize,
     items: &[T],
     f: F,
@@ -253,15 +189,31 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let threads = threads.min(items.len().max(1));
-    let traced = emit_call_metrics(threads, items.len());
+    // Pool telemetry when a recorder is installed. `par.calls` and
+    // `par.items` are schedule-independent; threads, block claims,
+    // steals and queue depths vary with the thread count and are
+    // treated as volatile by trace normalization.
+    let traced = gpm_obs::active().is_some();
+    if traced {
+        gpm_obs::counter_add("par.calls", 1);
+        gpm_obs::counter_add("par.items", items.len() as u64);
+        gpm_obs::gauge_set("par.threads", threads as f64);
+    }
     if threads <= 1 || items.len() <= 1 {
-        emit_sequential_metrics(traced, items.len());
+        // One "block" covering the whole slice, zero steals: the same
+        // metric names as the pooled path, so a normalized
+        // single-threaded trace pins the same instruments.
+        if traced {
+            gpm_obs::counter_add("par.blocks", 1);
+            gpm_obs::counter_add("par.steals", 0);
+            gpm_obs::histogram_record("par.queue_depth", items.len() as f64);
+        }
         return catch_unwind(AssertUnwindSafe(|| items.iter().map(&f).collect()));
     }
     pooled_map(threads, items, traced, f)
 }
 
-/// The pooled (multi-worker) map core behind [`run_pool_with`].
+/// The pooled (multi-worker) map core behind [`run_pool`].
 fn pooled_map<T, R, F>(
     threads: usize,
     items: &[T],
@@ -434,10 +386,10 @@ mod tests {
     }
 
     #[test]
-    fn try_par_map_surfaces_panics_as_errors() {
+    fn try_par_map_indices_surfaces_panics_as_errors() {
         for threads in [1, 4, 8] {
             let err = with_threads(threads, || {
-                try_par_map(&(0..100).collect::<Vec<_>>(), |&i| {
+                try_par_map_indices(100, |i| {
                     if i == 31 {
                         panic!("boom at {i}");
                     }
@@ -456,9 +408,9 @@ mod tests {
     #[test]
     fn a_panicking_call_does_not_poison_subsequent_calls() {
         with_threads(4, || {
-            let items: Vec<u64> = (0..200).collect();
+            let items: Vec<usize> = (0..200).collect();
             // A failing campaign...
-            let err = try_par_map(&items, |&i| {
+            let err = try_par_map_indices(items.len(), |i| {
                 if i % 7 == 3 {
                     panic!("injected");
                 }
@@ -467,7 +419,7 @@ mod tests {
             assert!(err.is_err());
             // ...must leave the pool fully usable: both the fallible and
             // the panicking entry points produce correct results after.
-            let ok = try_par_map(&items, |&i| i + 1).unwrap();
+            let ok = try_par_map_indices(items.len(), |i| i + 1).unwrap();
             assert_eq!(ok, items.iter().map(|&i| i + 1).collect::<Vec<_>>());
             let ok = par_map(&items, |&i| i * 3);
             assert_eq!(ok, items.iter().map(|&i| i * 3).collect::<Vec<_>>());
@@ -485,7 +437,7 @@ mod tests {
     fn opaque_panic_payloads_get_a_placeholder_message() {
         struct Opaque;
         let err = with_threads(2, || {
-            try_par_map(&(0..10).collect::<Vec<_>>(), |&i| {
+            try_par_map_indices(10, |i| {
                 if i == 5 {
                     std::panic::panic_any(Opaque);
                 }

@@ -125,11 +125,11 @@ fn short_and_long_refit_allocations(training: &TrainingSet) -> (u64, u64) {
         });
         // Size the buffers for this exact shape, then count.
         estimator
-            .fit_warm_with(training, &seed_model, &mut ws)
+            .fit_with(training, Some(&seed_model), &mut ws)
             .expect("sizing refit");
         let before = ALLOCS.load(Ordering::Relaxed);
         let (_, report) = estimator
-            .fit_warm_with(training, &seed_model, &mut ws)
+            .fit_with(training, Some(&seed_model), &mut ws)
             .expect("counted refit");
         (ALLOCS.load(Ordering::Relaxed) - before, report.iterations)
     };

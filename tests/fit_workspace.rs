@@ -1,9 +1,9 @@
-//! Workspace-reuse conformance: the `FitWorkspace` entry points
-//! (`fit_with_workspace`, `fit_warm_with`) are a pure performance
-//! feature — they must produce byte-identical `PowerModel` JSON and
-//! identical diagnostics vs. the workspace-free entry points, for cold
-//! fits, warm-refit chains (including a workspace adopted mid-stream),
-//! robust/degraded fits, and at any gpm-par thread count.
+//! Workspace-reuse conformance: reusing a `FitWorkspace` across
+//! `Estimator::fit_with` calls is a pure performance feature — it must
+//! produce byte-identical `PowerModel` JSON and identical diagnostics vs.
+//! a fresh workspace per fit, for cold fits, warm-refit chains (including
+//! a workspace adopted mid-stream), robust/degraded fits, and at any
+//! gpm-par thread count.
 
 use gpm::core::{
     Estimator, EstimatorConfig, FitWorkspace, MicrobenchSample, TrainingSet, Utilizations,
@@ -92,7 +92,7 @@ fn perturbed(g: &mut Gen, base: &TrainingSet) -> TrainingSet {
 /// on/off and explicit column drops, the workspace path (cold fit, then
 /// a warm refit through the same reused workspace, then a warm refit
 /// through a workspace adopted mid-stream) is byte-identical to the
-/// workspace-free path.
+/// fresh-workspace path.
 #[test]
 fn workspace_paths_are_bit_identical_for_random_fits() {
     let _guard = THREADS_LOCK.lock().unwrap();
@@ -113,14 +113,16 @@ fn workspace_paths_are_bit_identical_for_random_fits() {
             let t0 = random_training(g, 8 + 2 * (case as usize % 3));
             let t1 = perturbed(g, &t0);
 
-            // Path A: workspace-free cold fit + warm refit.
+            // Path A: a fresh workspace per fit, cold fit + warm refit.
             let (m0, r0) = estimator.fit_with_report(&t0).unwrap();
-            let (m1, r1) = estimator.fit_warm(&t1, &m0).unwrap();
+            let (m1, r1) = estimator
+                .fit_with(&t1, Some(&m0), &mut FitWorkspace::new())
+                .unwrap();
 
             // Path B: one workspace reused across the whole chain.
             let mut ws = FitWorkspace::new();
-            let (m0b, r0b) = estimator.fit_with_workspace(&t0, &mut ws).unwrap();
-            let (m1b, r1b) = estimator.fit_warm_with(&t1, &m0b, &mut ws).unwrap();
+            let (m0b, r0b) = estimator.fit_with(&t0, None, &mut ws).unwrap();
+            let (m1b, r1b) = estimator.fit_with(&t1, Some(&m0b), &mut ws).unwrap();
             assert_eq!(m0.to_json().unwrap(), m0b.to_json().unwrap());
             assert_eq!(m1.to_json().unwrap(), m1b.to_json().unwrap());
             assert_eq!(r0.rmse_history, r0b.rmse_history);
@@ -132,7 +134,7 @@ fn workspace_paths_are_bit_identical_for_random_fits() {
             // Path C: a fresh workspace adopted mid-stream must join the
             // chain without disturbing it.
             let mut late_ws = FitWorkspace::new();
-            let (m1c, _) = estimator.fit_warm_with(&t1, &m0, &mut late_ws).unwrap();
+            let (m1c, _) = estimator.fit_with(&t1, Some(&m0), &mut late_ws).unwrap();
             assert_eq!(m1.to_json().unwrap(), m1c.to_json().unwrap());
         });
     }
@@ -154,22 +156,24 @@ fn workspace_fits_are_thread_count_independent() {
 
     gpm::par::set_threads(Some(1));
     let mut ws = FitWorkspace::new();
-    let (model_seq, _) = estimator.fit_with_workspace(&training, &mut ws).unwrap();
+    let (model_seq, _) = estimator.fit_with(&training, None, &mut ws).unwrap();
     let (warm_seq, _) = estimator
-        .fit_warm_with(&training, &model_seq, &mut ws)
+        .fit_with(&training, Some(&model_seq), &mut ws)
         .unwrap();
     let seq_json = model_seq.to_json().unwrap();
     let warm_json = warm_seq.to_json().unwrap();
 
     for threads in [4usize, 8] {
         gpm::par::set_threads(Some(threads));
-        let (model, _) = estimator.fit_with_workspace(&training, &mut ws).unwrap();
+        let (model, _) = estimator.fit_with(&training, None, &mut ws).unwrap();
         assert_eq!(
             model.to_json().unwrap(),
             seq_json,
             "workspace fit diverged at {threads} threads"
         );
-        let (warm, _) = estimator.fit_warm_with(&training, &model, &mut ws).unwrap();
+        let (warm, _) = estimator
+            .fit_with(&training, Some(&model), &mut ws)
+            .unwrap();
         assert_eq!(
             warm.to_json().unwrap(),
             warm_json,

@@ -6,9 +6,8 @@
 //! Regenerate the fixtures after an *intentional* schema change with
 //! `GPM_UPDATE_GOLDEN=1 cargo test --test report_schema`.
 
-use gpm::core::{CvReport, DomainParams, FitReport, PowerModel, VoltageTable};
+use gpm::core::{CvReport, DomainParams, FitReport, PhaseTimings, PowerModel, VoltageTable};
 use gpm::json::{from_str, write, Json, ToJson};
-use gpm::par::timer::PhaseTimings;
 use gpm::spec::{devices, Component, FreqConfig};
 use std::fs;
 use std::path::PathBuf;
