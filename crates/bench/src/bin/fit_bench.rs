@@ -21,14 +21,18 @@
 //! assumed), times that, and gates on it — cold fits run the default
 //! 50-iteration budget from the Eq. 11 bootstrap.
 //!
-//! Results go to `BENCH_fit.json`. `GPM_BENCH_REPEATS` overrides the
+//! Results go to `BENCH_fit.json`; beside it, `BENCH_fit_truth.json`
+//! holds the fit-versus-truth study (`gpm_bench::fit_truth_study`): every
+//! fleet device class fitted at 20, 50 and 150 iterations and scored
+//! against the simulator's hidden truth. `GPM_BENCH_REPEATS` overrides the
 //! timing repeats (best-of is reported). `--gate` runs the CI subset:
 //! conformance, the allocation check, and the warm-refit floor
 //! (`warm refit >= GPM_FIT_MIN_RATIO x cold fit`, default 3.0) without
 //! writing the artifact.
 
-use gpm_bench::{heading, REPRO_SEED};
+use gpm_bench::{fit_truth_study, heading, REPRO_SEED, TRUTH_BUDGETS};
 use gpm_core::{cross_validate, Estimator, EstimatorConfig, FitWorkspace};
+use gpm_fleet::CLASS_SLUGS;
 use gpm_json::impl_json;
 use gpm_profiler::Profiler;
 use gpm_sim::SimulatedGpu;
@@ -381,6 +385,23 @@ fn main() {
         let json = gpm_json::to_string(&report).expect("report serializes");
         std::fs::write("BENCH_fit.json", &json).expect("write BENCH_fit.json");
         println!("\nwrote BENCH_fit.json");
+
+        heading("fit against ground truth, by class and iteration budget");
+        let truth = fit_truth_study(&CLASS_SLUGS, &TRUTH_BUDGETS);
+        for r in &truth {
+            println!(
+                "  {:<12} budget {:>3}: {:>3} it{}  truth MAPE {:>5.2}%  mean |V̄core - truth| {:.3}",
+                r.class,
+                r.max_iterations,
+                r.iterations,
+                if r.converged { " (converged)" } else { "" },
+                r.truth_mape_pct,
+                r.vcore_abs_err
+            );
+        }
+        let json = gpm_json::to_string(&truth).expect("truth study serializes");
+        std::fs::write("BENCH_fit_truth.json", &json).expect("write BENCH_fit_truth.json");
+        println!("\nwrote BENCH_fit_truth.json");
     }
 
     assert!(

@@ -5,10 +5,13 @@
 //! run the measurement campaign, fit the model, evaluate, and print the
 //! same rows/series the paper reports.
 
-use gpm_core::{AccuracyReport, AppProfile, Estimator, FitReport, PowerModel, TrainingSet};
+use gpm_core::{
+    AccuracyReport, AppProfile, Estimator, EstimatorConfig, FitReport, PowerModel, TrainingSet,
+};
+use gpm_json::impl_json;
 use gpm_profiler::Profiler;
 use gpm_sim::SimulatedGpu;
-use gpm_spec::{DeviceSpec, FreqConfig};
+use gpm_spec::{DeviceSpec, Domain, FreqConfig};
 use gpm_workloads::{microbenchmark_suite, validation_suite};
 use std::collections::BTreeMap;
 
@@ -137,6 +140,121 @@ pub fn validation_mape(model: &PowerModel, data: &ValidationData) -> f64 {
     .expect("validation set is not empty")
 }
 
+/// Iteration budgets of [`fit_truth_study`]: below, at and above the
+/// paper's 50-iteration cap.
+pub const TRUTH_BUDGETS: [usize; 3] = [20, 50, 150];
+
+/// One device class fitted at one iteration budget and scored against
+/// the simulator's hidden ground truth.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TruthRow {
+    /// Device-class slug (`gpm_fleet::CLASS_SLUGS`).
+    pub class: String,
+    /// `EstimatorConfig::max_iterations` of the fit.
+    pub max_iterations: usize,
+    /// Outer iterations the fit ran.
+    pub iterations: usize,
+    /// Whether it stopped by the RMSE rule rather than the budget.
+    pub converged: bool,
+    /// Held-out MAPE (%) of the validation applications' grid
+    /// predictions against true power.
+    pub truth_mape_pct: f64,
+    /// Mean `|V̄core − truth|` over the V-F grid.
+    pub vcore_abs_err: f64,
+}
+
+impl_json!(struct TruthRow {
+    class,
+    max_iterations,
+    iterations,
+    converged,
+    truth_mape_pct,
+    vcore_abs_err,
+});
+
+/// The fit-versus-truth study: for each class in `slugs`, fits the
+/// microbenchmark campaign of `SimulatedGpu::new(spec, REPRO_SEED)` at
+/// every budget in `budgets` and scores it against the simulator's
+/// hidden truth. The held-out MAPE covers every validation application
+/// (profiled once at the reference, on the training card) at every grid
+/// configuration, against `truth().true_power` of the application's
+/// execution there; the voltage error compares the fitted `V̄core` with
+/// `truth().normalized_voltage` at every grid configuration. Rows come
+/// in class, then budget order.
+///
+/// # Panics
+///
+/// Panics on an unknown class slug or any pipeline failure.
+pub fn fit_truth_study(slugs: &[&str], budgets: &[usize]) -> Vec<TruthRow> {
+    let mut rows = Vec::with_capacity(slugs.len() * budgets.len());
+    for &slug in slugs {
+        let spec = gpm_fleet::class_spec(slug).expect("known device class");
+        let grid = spec.vf_grid();
+        let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED);
+        let apps = validation_suite(&spec);
+        let (training, profiles) = {
+            let mut profiler = Profiler::new(&mut gpu);
+            let training = profiler
+                .profile_suite(&microbenchmark_suite(&spec))
+                .expect("training campaign succeeds");
+            let profiles: Vec<AppProfile> = apps
+                .iter()
+                .map(|app| {
+                    profiler
+                        .profile_at_reference(app)
+                        .expect("validation profile succeeds")
+                })
+                .collect();
+            (training, profiles)
+        };
+        let mut true_power = Vec::with_capacity(apps.len() * grid.len());
+        for app in &apps {
+            for &config in &grid {
+                gpu.set_clocks(config).expect("grid configuration");
+                let exec = gpu.execute(app);
+                true_power.push(gpu.truth().true_power(config, &exec.utilizations));
+            }
+        }
+        let reference = training.reference;
+        for &max_iterations in budgets {
+            let (model, report) = Estimator::with_config(EstimatorConfig {
+                max_iterations,
+                ..EstimatorConfig::default()
+            })
+            .fit_with_report(&training)
+            .expect("estimation succeeds");
+            let mut predicted = Vec::with_capacity(true_power.len());
+            for profile in &profiles {
+                predicted.extend(
+                    model
+                        .predict_batch(&profile.utilizations, &grid)
+                        .expect("validation configurations are on the fitted grid"),
+                );
+            }
+            let vcore_err: f64 = grid
+                .iter()
+                .map(|&c| {
+                    let fitted = model
+                        .voltage_table()
+                        .voltage(Domain::Core, c)
+                        .expect("grid configuration is fitted");
+                    (fitted - gpu.truth().normalized_voltage(Domain::Core, c, reference)).abs()
+                })
+                .sum();
+            rows.push(TruthRow {
+                class: slug.to_string(),
+                max_iterations,
+                iterations: report.iterations,
+                converged: report.converged,
+                truth_mape_pct: gpm_linalg::stats::mape(&predicted, &true_power)
+                    .expect("true power is positive"),
+                vcore_abs_err: vcore_err / grid.len() as f64,
+            });
+        }
+    }
+    rows
+}
+
 /// Renders a horizontal ASCII bar of `value` against `max`, `width`
 /// characters wide.
 pub fn bar(value: f64, max: f64, width: usize) -> String {
@@ -229,6 +347,25 @@ mod tests {
         assert_eq!(bar(0.5, 1.0, 4), "##..");
         assert_eq!(bar(2.0, 1.0, 4), "####");
         assert_eq!(bar(1.0, 0.0, 3), "...");
+    }
+
+    #[test]
+    fn truth_study_scores_each_budget_against_ground_truth() {
+        let rows = fit_truth_study(&["tesla-k40c"], &[1, 3]);
+        assert_eq!(rows.len(), 2);
+        for (row, budget) in rows.iter().zip([1, 3]) {
+            assert_eq!(row.class, "tesla-k40c");
+            assert_eq!(row.max_iterations, budget);
+            assert!(row.iterations <= budget);
+            assert!(
+                row.truth_mape_pct > 0.0 && row.truth_mape_pct < 20.0,
+                "{row:?}"
+            );
+            assert!(
+                row.vcore_abs_err >= 0.0 && row.vcore_abs_err < 0.5,
+                "{row:?}"
+            );
+        }
     }
 
     #[test]
