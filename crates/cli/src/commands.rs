@@ -473,12 +473,7 @@ fn cmd_train(args: &ParsedArgs) -> Result<String, CliError> {
         }
     }
     if args.switch("timings") {
-        let _ = write!(
-            out,
-            "phase timings ({} worker threads):\n{}",
-            gpm_par::current_threads(),
-            report.timings
-        );
+        let _ = write!(out, "phase timings:\n{}", report.timings);
     }
     Ok(out)
 }
@@ -1127,7 +1122,7 @@ mod tests {
             "--timings",
         ])
         .unwrap();
-        assert!(out.contains("phase timings"), "{out}");
+        assert!(out.contains("phase timings:\n"), "{out}");
         assert!(out.contains("voltage_step"), "{out}");
 
         let out = call(&[
