@@ -31,24 +31,31 @@
 //! 4. Iterate 2-3 until the training RMSE converges (the paper reports
 //!    convergence in under 50 iterations).
 //!
-//! All scratch state lives in a [`FitWorkspace`]: the flattened
-//! observations, a cached design panel at the current voltages, and the
-//! solver workspaces. [`Estimator::fit_with`] takes the workspace (and an
-//! optional warm-start model); a fit with a fresh workspace, a reused
-//! workspace, or the plain [`Estimator::fit`] entry point produces
-//! bit-identical models — the workspace only removes steady-state
-//! allocations. The alternation runs on the calling thread, so the model
-//! is the same at any `gpm-par` thread count.
+//! Utilizations are measured once, at the reference configuration
+//! (Eqs. 8-10), so every Eq. 6/7 design row factors as `D(c) ⊙ z_k`:
+//! `D(c) = [V̄c, V̄c²fc ×7, V̄m, V̄m²fm ×2]` depends only on the
+//! configuration and its voltages, and `z_k = [1, u₁..u₆, u_dram]` only on
+//! the kernel. Both steps therefore run on per-configuration moments of
+//! the observations, built once per fit ([`FitWorkspace`]): the
+//! coefficient step assembles the 11 × 11 Gram form `AᵀWA`, `AᵀWP` from
+//! them at the current voltages and solves Lawson–Hanson on it, and each
+//! configuration's quartic voltage objective is a quadratic form in them.
+//! Neither step visits an observation; robust mode rebuilds the moments
+//! whenever its Huber weights change.
+//!
+//! [`Estimator::fit_with`] takes the workspace (and an optional
+//! warm-start model); a fit with a fresh workspace, a reused workspace,
+//! or the plain [`Estimator::fit`] entry point produces bit-identical
+//! models — the workspace only removes steady-state allocations. The
+//! alternation runs on the calling thread, so the model is the same at
+//! any `gpm-par` thread count.
 
-use crate::workspace::FitWorkspace;
-use crate::{
-    DomainParams, MicrobenchSample, ModelError, PhaseTimings, PowerModel, TrainingSet, VoltageTable,
-};
+use crate::workspace::{build_moments, FitWorkspace, Moments, Obs};
+use crate::{DomainParams, ModelError, PhaseTimings, PowerModel, TrainingSet, VoltageTable};
 use gpm_json::impl_json;
-use gpm_linalg::batch::{domain_residuals_into, dot_rows_into};
+use gpm_linalg::batch::dot;
 use gpm_linalg::{
-    cubic_roots_into, isotonic_increasing_into, nnls_with, ridge_lstsq_with, spd_inverse_with,
-    stats, LstsqWorkspace, Matrix, NnlsWorkspace,
+    cubic_roots_into, isotonic_increasing_into, nnls_gram_with, spd_inverse_with, stats, Matrix,
 };
 use gpm_obs::SpanHandle;
 use gpm_spec::{Component, FreqConfig};
@@ -56,6 +63,12 @@ use std::time::Instant;
 
 /// Number of model coefficients: `[β₀, β₁, ω₁..ω₆, β₂, β₃, ω_mem]`.
 pub(crate) const NUM_PARAMS: usize = 11;
+/// Distinct entries of a kernel's design factor `z = [1, u₁..u₆, u_dram]`.
+pub(crate) const NZ: usize = 8;
+/// The `z` entry each design column multiplies: the static and idle
+/// columns of both domains take the constant 1, the six core ω columns
+/// their utilizations, and the memory ω column `u_dram`.
+pub(crate) const ZMAP: [usize; NUM_PARAMS] = [0, 0, 1, 2, 3, 4, 5, 6, 0, 0, 7];
 /// Sane physical bounds for normalized voltages during the search.
 pub(crate) const V_BOUNDS: (f64, f64) = (0.25, 3.0);
 /// Weight that effectively pins the reference voltage at 1 in the
@@ -342,11 +355,12 @@ impl Estimator {
         }
         ws.set_dropped_columns(dropped.iter().map(|&c| column_of(c)));
         let mut robust_reweights = 0usize;
+        let relative = self.config.relative_error;
+        self.build_base_moments(ws);
 
         // Voltage state: V̄ = (V̄core, V̄mem) per configuration (Eq. 12),
         // indexed by config index, seeded from the previous model when
-        // warm-starting. The design panel is (re)filled after *every*
-        // voltage mutation and trusted in between.
+        // warm-starting. Both steps read the voltages straight from here.
         let ncfg = ws.configs.len();
         ws.vcore.clear();
         ws.vcore.resize(ncfg, 1.0);
@@ -360,7 +374,6 @@ impl Estimator {
                 }
             }
         }
-        fill_panel(training, ws);
 
         let mut timings = PhaseTimings::default();
 
@@ -386,9 +399,8 @@ impl Estimator {
                 x[10] = mem.omegas[0];
             }
             None => {
-                // Cold start seeds every voltage at 1, so the cached
-                // panel rows already carry the Eq. 11 bootstrap
-                // assumption V̄ ≡ 1.
+                // Cold start seeds every voltage at 1: the Eq. 11
+                // bootstrap assumption V̄ ≡ 1.
                 let bootstrap = bootstrap_configs(reference, &ws.configs);
                 self.solve_coefficients_ws(ws, Some(&bootstrap), &mut robust_reweights, &mut x)?;
             }
@@ -423,8 +435,7 @@ impl Estimator {
             }
             if self.config.estimate_voltages {
                 let start = Instant::now();
-                fit_voltages_ws(&self.config, reference, &x, training, ws);
-                fill_panel(training, ws);
+                fit_voltages_ws(&self.config, reference, &x, ws);
                 timings.record("voltage_step", start.elapsed());
             }
             let start = Instant::now();
@@ -451,7 +462,6 @@ impl Estimator {
                     for v in ws.vmem.iter_mut() {
                         *v = 0.5 * (*v + 1.0);
                     }
-                    fill_panel(training, ws);
                     self.solve_coefficients_ws(ws, None, &mut robust_reweights, &mut x)?;
                     continue; // the divergent RMSE is not recorded
                 }
@@ -507,7 +517,7 @@ impl Estimator {
             "estimator.diagnostics",
             self.config.max_iterations as u64,
         );
-        let (training_mape, coefficient_sigma) = diagnostics_ws(ws, &x)?;
+        let (training_mape, coefficient_sigma) = diagnostics_ws(ws, &x, relative)?;
         drop(diagnostics_span);
         timings.record("diagnostics", diagnostics_start.elapsed());
 
@@ -545,181 +555,462 @@ impl Estimator {
         ))
     }
 
-    /// Linear coefficient solve (steps 1 and 3), reading the cached
-    /// design panel. `subset` restricts the observations to the bootstrap
-    /// configurations (valid only while all voltages are 1, i.e. cold
-    /// start — the panel rows then carry the Eq. 11 assumption); dropped
-    /// columns are excluded from the solve and pinned at zero; in robust
-    /// mode the solve is followed by Huber IRLS reweighting passes
-    /// (counted in `reweights`).
-    fn solve_coefficients_ws(
+    /// Builds the per-configuration moments of the observations under
+    /// their base weights, once per fit: both alternation steps read
+    /// these instead of the observations.
+    pub(crate) fn build_base_moments(&self, ws: &mut FitWorkspace) {
+        let relative = self.config.relative_error;
+        build_moments(
+            &ws.obs,
+            &ws.z,
+            &ws.group_offsets,
+            |_, o| base_weight(relative, o),
+            &mut ws.moments,
+        );
+    }
+
+    /// Linear coefficient solve (steps 1 and 3) on the Gram form of the
+    /// weighted design at the current voltages, assembled from the
+    /// per-configuration moments. `subset` restricts the observations to
+    /// the bootstrap configurations (valid only while all voltages are 1,
+    /// i.e. cold start — the design then carries the Eq. 11 assumption);
+    /// dropped columns are excluded from the solve and pinned at zero; in
+    /// robust mode the solve is followed by Huber IRLS reweighting passes
+    /// (counted in `reweights`), each on moments rebuilt with its weights.
+    pub(crate) fn solve_coefficients_ws(
         &self,
         ws: &mut FitWorkspace,
         subset: Option<&[FreqConfig]>,
         reweights: &mut usize,
         x_out: &mut [f64; NUM_PARAMS],
     ) -> Result<(), ModelError> {
-        let FitWorkspace {
-            obs,
-            panel,
-            rows,
-            y,
-            wrows,
-            wy,
-            a,
-            resid,
-            abs,
-            nnls,
-            lstsq,
-            keep_cols,
-            ..
-        } = ws;
-        rows.clear();
-        y.clear();
-        for (i, o) in obs.iter().enumerate() {
-            if let Some(keep) = subset {
-                if !keep.contains(&o.config) {
-                    continue;
-                }
-            }
-            // Relative-error mode: scale each equation by 1/P, turning
-            // the absolute least squares into a percentage least squares.
-            let w = if self.config.relative_error {
-                1.0 / o.watts.max(1e-6)
-            } else {
-                1.0
-            };
-            let prow = &panel[i * NUM_PARAMS..(i + 1) * NUM_PARAMS];
-            rows.extend(prow.iter().map(|v| v * w));
-            y.push(o.watts * w);
-        }
-        if y.len() < NUM_PARAMS {
+        let in_subset = |config: &FreqConfig| subset.is_none_or(|s| s.contains(config));
+        let n_obs: usize = ws
+            .configs
+            .iter()
+            .zip(ws.group_offsets.windows(2))
+            .filter(|(c, _)| in_subset(c))
+            .map(|(_, g)| g[1] - g[0])
+            .sum();
+        if n_obs < NUM_PARAMS {
             return Err(ModelError::InsufficientTraining(
                 "fewer observations than model coefficients",
             ));
         }
-
-        solve_reduced(
-            keep_cols,
-            rows,
-            y,
-            self.config.nonnegative,
-            a,
-            nnls,
-            lstsq,
-            x_out,
-        )?;
-        if self.config.robust && y.len() > NUM_PARAMS {
-            // Huber IRLS: residuals beyond k x (MAD-based scale) get
-            // weight k·scale/|r| < 1, shrinking the pull of corrupted
-            // observations without discarding them outright. Residuals
-            // use the full-width rows — dropped columns contribute +0.0
-            // against their pinned-zero coefficients.
+        let form = assemble_gram(ws, &ws.moments, subset, &ws.keep_cols);
+        self.solve_gram(ws, &form, x_out)?;
+        if self.config.robust && n_obs > NUM_PARAMS {
+            // Huber IRLS: weighted residuals beyond k x (MAD-based scale)
+            // get weight k·scale/|r| < 1, shrinking the pull of corrupted
+            // observations without discarding them outright. Each pass
+            // reweights the base moments afresh.
+            let relative = self.config.relative_error;
             for _ in 0..ROBUST_ITERATIONS {
+                predict_obs_ws(x_out, ws);
+                let FitWorkspace {
+                    obs,
+                    z,
+                    group_offsets,
+                    configs,
+                    pred,
+                    resid,
+                    abs,
+                    reweighted,
+                    ..
+                } = &mut *ws;
                 resid.clear();
-                resid.resize(y.len(), 0.0);
-                dot_rows_into(rows, &x_out[..], resid)
-                    .expect("weighted rows panel is rectangular by construction");
-                for (r, &yi) in resid.iter_mut().zip(y.iter()) {
-                    *r -= yi;
-                }
+                resid.extend(
+                    obs.iter()
+                        .zip(pred.iter())
+                        .map(|(o, p)| row_scale(relative, o) * (p - o.watts)),
+                );
                 abs.clear();
-                abs.extend(resid.iter().map(|r| r.abs()));
-                abs.sort_unstable_by(f64::total_cmp);
-                let scale = (1.4826 * abs[abs.len() / 2]).max(1e-9);
-                let cutoff = HUBER_K * scale;
-                wrows.clear();
-                wy.clear();
-                for ((chunk, &yi), &rv) in rows
-                    .chunks_exact(NUM_PARAMS)
-                    .zip(y.iter())
-                    .zip(resid.iter())
-                {
-                    let s = huber_weight(rv, cutoff).sqrt();
-                    wrows.extend(chunk.iter().map(|v| v * s));
-                    wy.push(yi * s);
+                for (c, g) in configs.iter().zip(group_offsets.windows(2)) {
+                    if in_subset(c) {
+                        abs.extend(resid[g[0]..g[1]].iter().map(|r| r.abs()));
+                    }
                 }
-                solve_reduced(
-                    keep_cols,
-                    wrows,
-                    wy,
-                    self.config.nonnegative,
-                    a,
-                    nnls,
-                    lstsq,
-                    x_out,
-                )?;
+                let cutoff = HUBER_K * mad_scale(abs);
+                build_moments(
+                    obs,
+                    z,
+                    group_offsets,
+                    |i, o| base_weight(relative, o) * huber_weight(resid[i], cutoff),
+                    reweighted,
+                );
+                let form = assemble_gram(ws, &ws.reweighted, subset, &ws.keep_cols);
+                self.solve_gram(ws, &form, x_out)?;
                 *reweights += 1;
             }
             gpm_obs::counter_add("estimator.robust_reweights", ROBUST_ITERATIONS as u64);
         }
         Ok(())
     }
-}
 
-/// Solves the kept-column reduction of `rows·x ≈ y` into `x_out`,
-/// re-expanding with zeros so the coefficient layout never changes.
-/// Degraded columns only leave the system here — the stored rows stay
-/// full width. The non-negative solve starts from the support of the
-/// `x_out` it overwrites: empty at the cold bootstrap, the previous
-/// model's on a warm refit, the last iterate's everywhere else.
-#[allow(clippy::too_many_arguments)]
-fn solve_reduced(
-    keep: &[usize],
-    rows: &[f64],
-    y: &[f64],
-    nonnegative: bool,
-    a: &mut Matrix,
-    nnls_ws: &mut NnlsWorkspace,
-    lstsq_ws: &mut LstsqWorkspace,
-    x_out: &mut [f64; NUM_PARAMS],
-) -> Result<(), ModelError> {
-    let k = keep.len();
-    a.reshape(y.len(), k);
-    let dst = a.as_mut_slice();
-    for (r, chunk) in rows.chunks_exact(NUM_PARAMS).enumerate() {
-        for (j, &col) in keep.iter().enumerate() {
-            dst[r * k + j] = chunk[col];
-        }
-    }
-    let xr = if nonnegative {
-        let mut start = [0; NUM_PARAMS];
-        let mut len = 0;
-        for (j, &col) in keep.iter().enumerate() {
-            if x_out[col] > 0.0 {
-                start[len] = j;
-                len += 1;
+    /// Solves the kept-column Gram form `form` into `x_out`, re-expanding
+    /// with zeros so the coefficient layout never changes. The
+    /// non-negative solve starts from the support of the `x_out` it
+    /// overwrites: empty at the cold bootstrap, the previous model's on a
+    /// warm refit, the last iterate's everywhere else. The ridge solve
+    /// takes the normal equations `(AᵀWA + λI)·x = AᵀWP` of the
+    /// ridge-augmented system.
+    fn solve_gram(
+        &self,
+        ws: &mut FitWorkspace,
+        form: &GramForm,
+        x_out: &mut [f64; NUM_PARAMS],
+    ) -> Result<(), ModelError> {
+        let FitWorkspace {
+            keep_cols: keep,
+            gram,
+            atb,
+            nnls,
+            inv,
+            spd,
+            ..
+        } = ws;
+        let k = keep.len();
+        form.write_into(gram, atb);
+        let mut xr = [0.0; NUM_PARAMS];
+        if self.config.nonnegative {
+            let mut start = [0; NUM_PARAMS];
+            let mut len = 0;
+            for (j, &col) in keep.iter().enumerate() {
+                if x_out[col] > 0.0 {
+                    start[len] = j;
+                    len += 1;
+                }
+            }
+            let x = nnls_gram_with(gram, atb, form.a_max, form.b_max, &start[..len], nnls)?;
+            xr[..k].copy_from_slice(x);
+        } else {
+            for i in 0..k {
+                gram[(i, i)] += RIDGE;
+            }
+            spd_inverse_with(gram, inv, spd)?;
+            for (i, v) in xr[..k].iter_mut().enumerate() {
+                *v = dot(inv.row(i), atb);
             }
         }
-        nnls_with(a, y, &start[..len], nnls_ws)?
-    } else {
-        ridge_lstsq_with(a, y, RIDGE, lstsq_ws)?
-    };
-    x_out.fill(0.0);
-    for (&i, &v) in keep.iter().zip(xr) {
-        x_out[i] = v;
+        x_out.fill(0.0);
+        for (&i, &v) in keep.iter().zip(&xr[..k]) {
+            x_out[i] = v;
+        }
+        Ok(())
     }
-    Ok(())
+}
+
+/// Each observation's least-squares row scale: 1 in the paper's
+/// absolute-error mode, `1/P` in relative-error mode, which turns the
+/// absolute least squares into a percentage least squares.
+fn row_scale(relative: bool, o: &Obs) -> f64 {
+    if relative {
+        1.0 / o.watts.max(1e-6)
+    } else {
+        1.0
+    }
+}
+
+/// Each observation's least-squares weight, the square of its
+/// [`row_scale`].
+fn base_weight(relative: bool, o: &Obs) -> f64 {
+    let s = row_scale(relative, o);
+    s * s
+}
+
+/// The per-configuration design scales `D(c)`: the Eq. 6/7 design row of
+/// a kernel with factor `z` at `config` is `D(c)[j]·z[ZMAP[j]]`
+/// (frequencies in GHz).
+fn design_scales(config: FreqConfig, vc: f64, vm: f64) -> [f64; NUM_PARAMS] {
+    let fc = config.core.as_f64() / 1000.0;
+    let fm = config.mem.as_f64() / 1000.0;
+    let core_dyn = vc * vc * fc;
+    let mem_dyn = vm * vm * fm;
+    [
+        vc, core_dyn, core_dyn, core_dyn, core_dyn, core_dyn, core_dyn, core_dyn, vm, mem_dyn,
+        mem_dyn,
+    ]
+}
+
+/// A kernel's design factor `z = [1, u₁..u₆, u_dram]` (core components
+/// in [`Component::CORE`] order).
+pub(crate) fn kernel_factor(u: &[f64; 7]) -> [f64; NZ] {
+    let mut z = [1.0; NZ];
+    for (j, comp) in Component::CORE.iter().enumerate() {
+        z[1 + j] = u[comp.index()];
+    }
+    z[NZ - 1] = u[Component::Dram.index()];
+    z
+}
+
+/// The Gram form of a weighted design over `k` of its columns: `AᵀWA`
+/// (row-major `k x k`) and `AᵀWP`, with the largest `|A|` entry over
+/// those columns and the largest `|b|` entry of the weighted design it
+/// stands for (the NNLS tolerance's scale).
+struct GramForm {
+    k: usize,
+    g: [f64; NUM_PARAMS * NUM_PARAMS],
+    h: [f64; NUM_PARAMS],
+    a_max: f64,
+    b_max: f64,
+}
+
+impl GramForm {
+    fn write_into(&self, gram: &mut Matrix, atb: &mut Vec<f64>) {
+        let k = self.k;
+        gram.reshape(k, k);
+        gram.as_mut_slice().copy_from_slice(&self.g[..k * k]);
+        atb.clear();
+        atb.extend_from_slice(&self.h[..k]);
+    }
+}
+
+/// Assembles the Gram form of the coefficient step over the columns
+/// `cols`: `AᵀWA = Σ_c (D(c)D(c)ᵀ) ⊙ Z_c` and `AᵀWP = Σ_c D(c) ⊙ m_c` at
+/// the current voltages, summed over the configurations in `subset` (all
+/// when `None`), from one [`Moments`] per configuration.
+fn assemble_gram(
+    ws: &FitWorkspace,
+    moments: &[Moments],
+    subset: Option<&[FreqConfig]>,
+    cols: &[usize],
+) -> GramForm {
+    let k = cols.len();
+    let mut form = GramForm {
+        k,
+        g: [0.0; NUM_PARAMS * NUM_PARAMS],
+        h: [0.0; NUM_PARAMS],
+        a_max: 0.0,
+        b_max: 0.0,
+    };
+    for (i, m) in moments.iter().enumerate() {
+        let config = ws.configs[i];
+        if subset.is_some_and(|s| !s.contains(&config)) {
+            continue;
+        }
+        let d = design_scales(config, ws.vcore[i], ws.vmem[i]);
+        for (r, &ci) in cols.iter().enumerate() {
+            let zr = &m.zz[ZMAP[ci] * NZ..(ZMAP[ci] + 1) * NZ];
+            for (s, &cj) in cols.iter().enumerate().skip(r) {
+                form.g[r * k + s] += d[ci] * d[cj] * zr[ZMAP[cj]];
+            }
+            form.h[r] += d[ci] * m.zp[ZMAP[ci]];
+            form.a_max = form.a_max.max(d[ci].abs() * m.zmax[ZMAP[ci]]);
+        }
+        form.b_max = form.b_max.max(m.pmax);
+    }
+    for r in 1..k {
+        for s in 0..r {
+            form.g[r * k + s] = form.g[s * k + r];
+        }
+    }
+    form
+}
+
+/// Predicted power of every observation at the current voltages and
+/// `x`, into `ws.pred`: each configuration folds `D(c) ⊙ x` onto the
+/// [`NZ`] kernel-factor entries, so a prediction is one dot product.
+fn predict_obs_ws(x: &[f64; NUM_PARAMS], ws: &mut FitWorkspace) {
+    let FitWorkspace {
+        z,
+        obs,
+        group_offsets,
+        configs,
+        vcore,
+        vmem,
+        pred,
+        ..
+    } = ws;
+    pred.clear();
+    for (i, g) in group_offsets.windows(2).enumerate() {
+        let d = design_scales(configs[i], vcore[i], vmem[i]);
+        let mut y = [0.0; NZ];
+        for j in 0..NUM_PARAMS {
+            y[ZMAP[j]] += d[j] * x[j];
+        }
+        pred.extend(obs[g[0]..g[1]].iter().map(|o| dot(&y, &z[o.sample])));
+    }
+}
+
+/// Weighted sums of one configuration's quartic voltage objective
+/// `Σ wᵢ·(b·v + aᵢ·v² − rᵢ)²` (Eq. 12): `aᵢ` is an observation's
+/// activity term times its domain frequency and `rᵢ` its power minus the
+/// other domain's contribution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct QuarticSums {
+    /// `Σw`.
+    w: f64,
+    /// `Σw·a`.
+    a: f64,
+    /// `Σw·a²`.
+    a2: f64,
+    /// `Σw·a·r`.
+    ar: f64,
+    /// `Σw·r`.
+    r: f64,
+    /// `Σw·r²`.
+    r2: f64,
+}
+
+impl QuarticSums {
+    /// `Σ wᵢ·(b·v + aᵢ·v² − rᵢ)²`, expanded in the sums.
+    fn objective(&self, b: f64, v: f64) -> f64 {
+        let v2 = v * v;
+        self.w * b * b * v2 + 2.0 * b * self.a * v2 * v + self.a2 * v2 * v2
+            - 2.0 * (b * self.r * v + self.ar * v2)
+            + self.r2
+    }
+}
+
+/// One domain's activity coefficients `θ` (over `z`) folded into a
+/// configuration's moments: `Σw·θ·z`, `θᵀZθ` and `θᵀm`.
+#[derive(Debug, Clone, Copy)]
+struct DomainForm {
+    z0: f64,
+    zz: f64,
+    zp: f64,
+}
+
+/// A configuration's Eq. 12 objective as quadratic forms of its moments
+/// in the core activity coefficients `α = (β₁, ω₁..ω₆)` and the memory
+/// ones `γ = (β₃, ω_mem)`. With `X` fixed for the whole voltage step, the
+/// forms are computed once per step, and every sweep's sums follow from
+/// them in O(1).
+#[derive(Debug, Clone, Copy)]
+struct GroupForms {
+    /// `Σw`.
+    w: f64,
+    /// `Σw·P`.
+    p: f64,
+    /// `Σw·P²`.
+    pp: f64,
+    core: DomainForm,
+    mem: DomainForm,
+    /// `αᵀZγ`.
+    cross: f64,
+}
+
+impl GroupForms {
+    fn new(m: &Moments, x: &[f64; NUM_PARAMS]) -> Self {
+        // α over z = [1, u₁..u₆, u_dram]; γ has entries at 1 and u_dram.
+        let mut alpha = [0.0; NZ];
+        alpha[..7].copy_from_slice(&x[1..8]);
+        let row = |e: usize| &m.zz[e * NZ..(e + 1) * NZ];
+        let mut z_alpha = [0.0; NZ];
+        for (e, v) in z_alpha.iter_mut().enumerate() {
+            *v = dot(row(e), &alpha);
+        }
+        let z_gamma: [f64; NZ] =
+            std::array::from_fn(|e| x[9] * m.zz[e * NZ] + x[10] * m.zz[e * NZ + NZ - 1]);
+        GroupForms {
+            w: m.zz[0],
+            p: m.zp[0],
+            pp: m.pp,
+            core: DomainForm {
+                z0: z_alpha[0],
+                zz: dot(&alpha, &z_alpha),
+                zp: dot(&alpha, &m.zp),
+            },
+            mem: DomainForm {
+                z0: z_gamma[0],
+                zz: x[9] * z_gamma[0] + x[10] * z_gamma[NZ - 1],
+                zp: x[9] * m.zp[0] + x[10] * m.zp[NZ - 1],
+            },
+            cross: dot(&alpha, &z_gamma),
+        }
+    }
+
+    /// The sums for one domain's voltage: `own` is that domain's form and
+    /// `f` its frequency; the other domain contributes `p + q·(φ·z)` to
+    /// every observation, `p` being its static term `β·v` and `q` its
+    /// `v²f`.
+    fn sums(&self, own: &DomainForm, other: &DomainForm, f: f64, p: f64, q: f64) -> QuarticSums {
+        QuarticSums {
+            w: self.w,
+            a: f * own.z0,
+            a2: f * f * own.zz,
+            ar: f * (own.zp - (p * own.z0 + q * self.cross)),
+            r: self.p - (p * self.w + q * other.z0),
+            r2: self.pp - 2.0 * (p * self.p + q * other.zp)
+                + (p * p * self.w + 2.0 * p * q * other.z0 + q * q * other.zz),
+        }
+    }
 }
 
 /// Voltage step (Eq. 12): coordinate descent with exact cubic stationary
-/// points per configuration group, then isotonic projection along the
-/// precomputed monotone chains. The observation weights carry the
-/// robust-mode Huber weights (all ones otherwise). Groups solve one after
-/// another, each writing its voltages in place: a group's solve reads
-/// only its own two voltages, so the order cannot change the result.
+/// points per configuration, on the configuration's moments, then
+/// isotonic projection along the precomputed monotone chains. In robust
+/// mode the moments are first rebuilt with the current Huber weights.
+/// Configurations solve one after another, each writing its voltages in
+/// place: a configuration's solve reads only its own two voltages, so
+/// the order cannot change the result, and all sweeps of one
+/// configuration run back to back.
 fn fit_voltages_ws(
     cfg: &EstimatorConfig,
     reference: FreqConfig,
     x: &[f64; NUM_PARAMS],
-    training: &TrainingSet,
     ws: &mut FitWorkspace,
 ) {
+    if cfg.robust {
+        let relative = cfg.relative_error;
+        let FitWorkspace {
+            obs,
+            z,
+            group_offsets,
+            obs_weights,
+            reweighted,
+            ..
+        } = &mut *ws;
+        build_moments(
+            obs,
+            z,
+            group_offsets,
+            |i, o| base_weight(relative, o) * obs_weights[i],
+            reweighted,
+        );
+    }
     let FitWorkspace {
-        obs,
         configs,
-        group_offsets,
-        group_items,
+        moments,
+        reweighted,
+        vcore,
+        vmem,
+        ..
+    } = &mut *ws;
+    let moments = if cfg.robust { &*reweighted } else { &*moments };
+    let mut solved = 0u64;
+    for (g, &config) in configs.iter().enumerate() {
+        if config == reference {
+            continue; // pinned at (1, 1) by normalization
+        }
+        let fc = config.core.as_f64() / 1000.0;
+        let fm = config.mem.as_f64() / 1000.0;
+        let forms = GroupForms::new(&moments[g], x);
+        let (mut vc, mut vm) = (vcore[g], vmem[g]);
+        for _ in 0..VOLTAGE_SWEEPS {
+            // Core voltage given the current memory voltage, then the
+            // memory voltage given the updated core voltage.
+            let core = forms.sums(&forms.core, &forms.mem, fc, x[8] * vm, fm * vm * vm);
+            vc = minimize_quartic(x[0], &core);
+            let mem = forms.sums(&forms.mem, &forms.core, fm, x[0] * vc, fc * vc * vc);
+            vm = minimize_quartic(x[8], &mem);
+        }
+        vcore[g] = vc;
+        vmem[g] = vm;
+        solved += 1;
+    }
+    gpm_obs::counter_add("estimator.voltage_solves", VOLTAGE_SWEEPS as u64 * solved);
+    if cfg.enforce_monotonic_voltage {
+        project_monotone_ws(ws);
+    }
+}
+
+/// Monotone projection (Eq. 12 constraint) along the chains `prepare`
+/// precomputed: per memory level, `V̄core` non-decreasing in core
+/// frequency; per core level, `V̄mem` non-decreasing in memory frequency.
+/// Reference entries carry a huge weight, pinning them at 1.
+fn project_monotone_ws(ws: &mut FitWorkspace) {
+    let FitWorkspace {
         core_chain_offsets,
         core_chains,
         core_pins,
@@ -728,125 +1019,24 @@ fn fit_voltages_ws(
         mem_pins,
         vcore,
         vmem,
-        obs_weights,
-        act_a,
-        act_b,
-        group_scratch: s,
         chain_vals,
         chain_fit,
         iso,
         ..
     } = ws;
-
-    // Per-sample activity terms: A_i = β₁ + Σ ωⱼuⱼ, B_i = β₃ + ω_mem·u_dram.
-    act_a.clear();
-    act_b.clear();
-    for sample in &training.samples {
-        let (a, b) = activity_terms(sample, &x[..]);
-        act_a.push(a);
-        act_b.push(b);
-    }
-
-    let relative = cfg.relative_error;
-    for _ in 0..VOLTAGE_SWEEPS {
-        let mut solved = 0u64;
-        for (g, &config) in configs.iter().enumerate() {
-            if config == reference {
-                continue; // pinned at (1, 1) by normalization
-            }
-            let fc = config.core.as_f64() / 1000.0;
-            let fm = config.mem.as_f64() / 1000.0;
-            let idxs = &group_items[group_offsets[g]..group_offsets[g + 1]];
-            s.a_acts.clear();
-            s.b_acts.clear();
-            s.watts.clear();
-            s.weights.clear();
-            for &i in idxs {
-                let o = &obs[i];
-                s.a_acts.push(act_a[o.sample]);
-                s.b_acts.push(act_b[o.sample]);
-                s.watts.push(o.watts);
-                let base = if relative {
-                    let p = o.watts.max(1e-6);
-                    1.0 / (p * p)
-                } else {
-                    1.0
-                };
-                s.weights.push(base * obs_weights[i]);
-            }
-            // The Eq. 12 inner loop, batched: residuals against the
-            // *other* domain's contribution come from one
-            // `domain_residuals_into` pass over the group (same
-            // association as the scalar expression, so the solve inputs
-            // are bit-identical).
-            s.resid.clear();
-            s.resid.resize(idxs.len(), 0.0);
-            // Core voltage given the current memory voltage.
-            let vm_old = vmem[g];
-            domain_residuals_into(x[8], fm, vm_old, &s.b_acts, &s.watts, &mut s.resid);
-            s.coef.clear();
-            s.coef.extend(s.a_acts.iter().map(|&a| a * fc));
-            let vc =
-                minimize_quartic_slices(x[0], &s.coef, &s.resid, &s.weights).unwrap_or(vcore[g]);
-            // Memory voltage given the updated core voltage.
-            domain_residuals_into(x[0], fc, vc, &s.a_acts, &s.watts, &mut s.resid);
-            s.coef.clear();
-            s.coef.extend(s.b_acts.iter().map(|&b| b * fm));
-            let vm = minimize_quartic_slices(x[8], &s.coef, &s.resid, &s.weights).unwrap_or(vm_old);
-            vcore[g] = vc;
-            vmem[g] = vm;
-            solved += 1;
-        }
-        gpm_obs::counter_add("estimator.voltage_solves", solved);
-    }
-
-    // Monotone projection (Eq. 12 constraint) along the chains `prepare`
-    // precomputed: per memory level, `V̄core` non-decreasing in core
-    // frequency; per core level, `V̄mem` non-decreasing in memory
-    // frequency. Reference entries carry a huge weight, pinning them at 1.
-    if cfg.enforce_monotonic_voltage {
-        for w in core_chain_offsets.windows(2) {
-            let chain = &core_chains[w[0]..w[1]];
-            let pins = &core_pins[w[0]..w[1]];
+    for (offsets, chains, pins, v) in [
+        (&*core_chain_offsets, &*core_chains, &*core_pins, vcore),
+        (&*mem_chain_offsets, &*mem_chains, &*mem_pins, vmem),
+    ] {
+        for w in offsets.windows(2) {
+            let chain = &chains[w[0]..w[1]];
             chain_vals.clear();
-            chain_vals.extend(chain.iter().map(|&g| vcore[g]));
-            isotonic_increasing_into(chain_vals, pins, iso, chain_fit);
-            for (&g, &v) in chain.iter().zip(chain_fit.iter()) {
-                vcore[g] = v;
+            chain_vals.extend(chain.iter().map(|&g| v[g]));
+            isotonic_increasing_into(chain_vals, &pins[w[0]..w[1]], iso, chain_fit);
+            for (&g, &fit) in chain.iter().zip(chain_fit.iter()) {
+                v[g] = fit;
             }
         }
-        for w in mem_chain_offsets.windows(2) {
-            let chain = &mem_chains[w[0]..w[1]];
-            let pins = &mem_pins[w[0]..w[1]];
-            chain_vals.clear();
-            chain_vals.extend(chain.iter().map(|&g| vmem[g]));
-            isotonic_increasing_into(chain_vals, pins, iso, chain_fit);
-            for (&g, &v) in chain.iter().zip(chain_fit.iter()) {
-                vmem[g] = v;
-            }
-        }
-    }
-}
-
-/// (Re)fills the cached design panel: one Eq. 6/7 row per observation at
-/// the current voltages. Called after every voltage mutation.
-fn fill_panel(training: &TrainingSet, ws: &mut FitWorkspace) {
-    let FitWorkspace {
-        obs,
-        obs_cfg,
-        vcore,
-        vmem,
-        panel,
-        ..
-    } = ws;
-    panel.clear();
-    for (o, &g) in obs.iter().zip(obs_cfg.iter()) {
-        panel.extend_from_slice(&design_row(
-            &training.samples[o.sample].utilizations.as_array(),
-            o.config,
-            vcore[g],
-            vmem[g],
-        ));
     }
 }
 
@@ -896,53 +1086,19 @@ pub(crate) fn design_row(u: &[f64; 7], config: FreqConfig, vc: f64, vm: f64) -> 
     row
 }
 
-/// Per-sample activity terms `(A, B)` with `A = β₁ + Σ ωⱼuⱼ` (core) and
-/// `B = β₃ + ω_mem·u_dram` (memory).
-fn activity_terms(sample: &MicrobenchSample, x: &[f64]) -> (f64, f64) {
-    let u = sample.utilizations.as_array();
-    let mut a = x[1];
-    for (j, comp) in Component::CORE.iter().enumerate() {
-        a += x[2 + j] * u[comp.index()];
-    }
-    let b = x[9] + x[10] * u[Component::Dram.index()];
-    (a, b)
-}
-
-/// Minimizes `Σ wᵢ·(b·v + aᵢ·v² - rᵢ)²` over `v ∈ V_BOUNDS` exactly: the
-/// derivative is a cubic whose real roots are closed form. The parallel
-/// slices hold `aᵢ`, `rᵢ` and `wᵢ` (weights are 1 in the paper's
-/// absolute-error mode, `1/P²` in relative-error mode, scaled by the
-/// Huber weights in robust mode).
-fn minimize_quartic_slices(b: f64, a: &[f64], r: &[f64], w: &[f64]) -> Option<f64> {
-    if a.is_empty() {
-        return None;
-    }
-    let (mut sw, mut sa2, mut sa, mut sar, mut sr) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for i in 0..a.len() {
-        let (ai, ri, wi) = (a[i], r[i], w[i]);
-        sw += wi;
-        sa2 += wi * ai * ai;
-        sa += wi * ai;
-        sar += wi * ai * ri;
-        sr += wi * ri;
-    }
-    let c3 = 2.0 * sa2;
-    let c2 = 3.0 * b * sa;
-    let c1 = sw * b * b - 2.0 * sar;
-    let c0 = -b * sr;
-    let objective = |v: f64| -> f64 {
-        let mut g = 0.0;
-        for i in 0..a.len() {
-            let e = b * v + a[i] * v * v - r[i];
-            g += w[i] * e * e;
-        }
-        g
-    };
+/// Minimizes `Σ wᵢ·(b·v + aᵢ·v² − rᵢ)²` over `v ∈ V_BOUNDS` exactly: the
+/// derivative is a cubic whose real roots are closed form, and the
+/// objective at each candidate follows from the same sums.
+fn minimize_quartic(b: f64, s: &QuarticSums) -> f64 {
+    let c3 = 2.0 * s.a2;
+    let c2 = 3.0 * b * s.a;
+    let c1 = s.w * b * b - 2.0 * s.ar;
+    let c0 = -b * s.r;
     let mut best: Option<(f64, f64)> = None;
     let mut consider = |v: f64| {
         if v.is_finite() {
             let clamped = v.clamp(V_BOUNDS.0, V_BOUNDS.1);
-            let g = objective(clamped);
+            let g = s.objective(b, clamped);
             if best.is_none_or(|(_, bg)| g < bg) {
                 best = Some((clamped, g));
             }
@@ -955,32 +1111,35 @@ fn minimize_quartic_slices(b: f64, a: &[f64], r: &[f64], w: &[f64]) -> Option<f6
     }
     consider(V_BOUNDS.0);
     consider(V_BOUNDS.1);
-    best.map(|(v, _)| v)
+    best.map_or(V_BOUNDS.0, |(v, _)| v)
 }
 
-/// Per-observation Huber weights under the current iterate (read off the
-/// cached panel): 1 inside `HUBER_K x` the MAD-based residual scale,
-/// shrinking as `HUBER_K·scale/|r|` beyond.
+/// The MAD-based residual scale `1.4826·median(|r|)` of `abs` (the
+/// absolute residuals, reordered in place), floored at 1e-9.
+fn mad_scale(abs: &mut [f64]) -> f64 {
+    let mid = abs.len() / 2;
+    let (_, median, _) = abs.select_nth_unstable_by(mid, f64::total_cmp);
+    (1.4826 * *median).max(1e-9)
+}
+
+/// Per-observation Huber weights under the current iterate: 1 inside
+/// `HUBER_K x` the MAD-based residual scale, shrinking as
+/// `HUBER_K·scale/|r|` beyond.
 fn huber_weights_ws(x: &[f64; NUM_PARAMS], ws: &mut FitWorkspace) {
+    predict_obs_ws(x, ws);
     let FitWorkspace {
         obs,
-        panel,
         pred,
         resid,
         abs,
         obs_weights,
         ..
     } = ws;
-    pred.clear();
-    pred.resize(obs.len(), 0.0);
-    dot_rows_into(panel, &x[..], pred).expect("design panel is rectangular by construction");
     resid.clear();
     resid.extend(pred.iter().zip(obs.iter()).map(|(p, o)| p - o.watts));
     abs.clear();
     abs.extend(resid.iter().map(|r| r.abs()));
-    abs.sort_unstable_by(f64::total_cmp);
-    let scale = (1.4826 * abs[abs.len() / 2]).max(1e-9);
-    let cutoff = HUBER_K * scale;
+    let cutoff = HUBER_K * mad_scale(abs);
     obs_weights.clear();
     obs_weights.extend(resid.iter().map(|r| huber_weight(*r, cutoff)));
 }
@@ -1008,27 +1167,17 @@ fn column_of(component: Component) -> usize {
     }
 }
 
-/// Training RMSE under the current parameters (read off the cached
-/// panel), weighted by the observation weights (all ones outside robust
-/// mode, where this reduces to the plain RMSE bit-for-bit). In robust
-/// mode the weights keep quarantine survivors from dominating the
-/// convergence test: without them the constant spike residuals swamp the
-/// RMSE and the relative-change stopping rule fires while the good-data
-/// fit is still improving.
+/// Training RMSE under the current parameters, weighted by the
+/// observation weights (all ones outside robust mode, where this reduces
+/// to the plain RMSE). In robust mode the weights keep quarantine
+/// survivors from dominating the convergence test: without them the
+/// constant spike residuals swamp the RMSE and the relative-change
+/// stopping rule fires while the good-data fit is still improving.
 fn rmse_of_ws(x: &[f64; NUM_PARAMS], ws: &mut FitWorkspace) -> f64 {
-    let FitWorkspace {
-        obs,
-        panel,
-        pred,
-        obs_weights,
-        ..
-    } = ws;
-    pred.clear();
-    pred.resize(obs.len(), 0.0);
-    dot_rows_into(panel, &x[..], pred).expect("design panel is rectangular by construction");
+    predict_obs_ws(x, ws);
     let mut sse = 0.0;
     let mut denom = 0.0;
-    for ((o, &w), &p) in obs.iter().zip(obs_weights.iter()).zip(pred.iter()) {
+    for ((o, &w), &p) in ws.obs.iter().zip(&ws.obs_weights).zip(&ws.pred) {
         let e = p - o.watts;
         sse += w * e * e;
         denom += w;
@@ -1036,37 +1185,49 @@ fn rmse_of_ws(x: &[f64; NUM_PARAMS], ws: &mut FitWorkspace) -> f64 {
     (sse / denom.max(1e-12)).sqrt()
 }
 
-/// Fit diagnostics off the cached panel at the final voltages: the
-/// training MAPE and the per-coefficient standard errors from
-/// `σ²·(AᵀA)⁻¹` (a diagnostic, not part of the model).
+/// Fit diagnostics at the final voltages: the training MAPE from one
+/// prediction pass, and the per-coefficient standard errors from
+/// `σ²·(AᵀA)⁻¹` (a diagnostic, not part of the model), with `AᵀA`
+/// assembled from unweighted moments — the base moments themselves
+/// unless relative-error mode weighted them.
 fn diagnostics_ws(
     ws: &mut FitWorkspace,
     x: &[f64; NUM_PARAMS],
+    relative: bool,
 ) -> Result<(f64, Vec<f64>), ModelError> {
+    predict_obs_ws(x, ws);
+    ws.meas.clear();
+    ws.meas.extend(ws.obs.iter().map(|o| o.watts));
+    let training_mape = stats::mape(&ws.pred, &ws.meas)?;
+
+    const ALL_COLUMNS: [usize; NUM_PARAMS] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+    if relative {
+        let FitWorkspace {
+            obs,
+            z,
+            group_offsets,
+            reweighted,
+            ..
+        } = &mut *ws;
+        build_moments(obs, z, group_offsets, |_, _| 1.0, reweighted);
+    }
+    let unweighted = if relative {
+        &ws.reweighted
+    } else {
+        &ws.moments
+    };
+    let form = assemble_gram(ws, unweighted, None, &ALL_COLUMNS);
+    form.write_into(&mut ws.gram, &mut ws.atb);
     let FitWorkspace {
         obs,
-        panel,
         pred,
         meas,
-        amat,
-        at,
-        ata,
+        gram: ata,
         inv,
         spd,
         drop_cols,
         ..
     } = ws;
-    pred.clear();
-    pred.resize(obs.len(), 0.0);
-    dot_rows_into(panel, &x[..], pred).expect("design panel is rectangular by construction");
-    meas.clear();
-    meas.extend(obs.iter().map(|o| o.watts));
-    let training_mape = stats::mape(pred, meas)?;
-
-    amat.copy_from_flat(obs.len(), NUM_PARAMS, panel);
-    amat.transpose_into(at);
-    at.matmul_into(amat, ata)
-        .expect("inner dimensions agree by construction");
     // Tiny jitter keeps the inverse defined when NNLS zeroed a
     // coefficient (its column may be collinear at the optimum).
     let jitter = 1e-9 * ata.max_abs().max(1.0);
@@ -1098,7 +1259,7 @@ fn diagnostics_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Utilizations;
+    use crate::{MicrobenchSample, Utilizations};
     use gpm_spec::{devices, DeviceSpec, Domain, Mhz};
     use std::collections::BTreeMap;
 
@@ -1447,23 +1608,394 @@ mod tests {
         );
     }
 
+    /// The six quartic sums of per-observation slices `aᵢ`, `rᵢ`, `wᵢ`.
+    fn sums_of(a: &[f64], r: &[f64], w: &[f64]) -> QuarticSums {
+        let mut s = QuarticSums {
+            w: 0.0,
+            a: 0.0,
+            a2: 0.0,
+            ar: 0.0,
+            r: 0.0,
+            r2: 0.0,
+        };
+        for ((&ai, &ri), &wi) in a.iter().zip(r).zip(w) {
+            s.w += wi;
+            s.a += wi * ai;
+            s.a2 += wi * ai * ai;
+            s.ar += wi * ai * ri;
+            s.r += wi * ri;
+            s.r2 += wi * ri * ri;
+        }
+        s
+    }
+
     #[test]
     fn minimize_quartic_finds_known_minimum() {
         // Single observation: minimize (b v + a v² - r)²; with b=1, a=1,
         // r=2 the residual vanishes at v=1.
-        let v = minimize_quartic_slices(1.0, &[1.0], &[2.0], &[1.0]).unwrap();
+        let v = minimize_quartic(1.0, &sums_of(&[1.0], &[2.0], &[1.0]));
         assert!((v - 1.0).abs() < 1e-9, "v = {v}");
-        // Empty input yields nothing.
-        assert_eq!(minimize_quartic_slices(1.0, &[], &[], &[]), None);
+        // The objective at the minimum is the (zero) residual.
+        let s = sums_of(&[1.0], &[2.0], &[1.0]);
+        assert!(s.objective(1.0, v).abs() < 1e-9);
         // Unattainable negative target clamps at the lower bound.
-        let v = minimize_quartic_slices(1.0, &[1.0], &[-100.0], &[1.0]).unwrap();
+        let v = minimize_quartic(1.0, &sums_of(&[1.0], &[-100.0], &[1.0]));
         assert_eq!(v, V_BOUNDS.0);
         // Weights shift the pooled optimum toward the heavy observation.
-        let heavy_low =
-            minimize_quartic_slices(1.0, &[1.0, 1.0], &[2.0, 6.0], &[10.0, 1.0]).unwrap();
-        let heavy_high =
-            minimize_quartic_slices(1.0, &[1.0, 1.0], &[2.0, 6.0], &[1.0, 10.0]).unwrap();
+        let heavy_low = minimize_quartic(1.0, &sums_of(&[1.0, 1.0], &[2.0, 6.0], &[10.0, 1.0]));
+        let heavy_high = minimize_quartic(1.0, &sums_of(&[1.0, 1.0], &[2.0, 6.0], &[1.0, 10.0]));
         assert!(heavy_low < heavy_high);
+    }
+
+    /// A microbenchmark campaign on a simulated card, without the
+    /// profiler: each kernel's true utilizations at the reference and its
+    /// measured power at every grid configuration.
+    fn simulated_training(spec: &DeviceSpec, seed: u64) -> TrainingSet {
+        let mut gpu = gpm_sim::SimulatedGpu::new(spec.clone(), seed);
+        let reference = spec.default_config();
+        let grid = spec.vf_grid();
+        let samples = gpm_workloads::microbenchmark_suite(spec)
+            .iter()
+            .map(|kernel| {
+                gpu.set_clocks(reference).unwrap();
+                let utilizations = Utilizations::from_values(gpu.execute(kernel).utilizations)
+                    .expect("true utilizations are in range");
+                let power_by_config = grid
+                    .iter()
+                    .map(|&c| {
+                        gpu.set_clocks(c).unwrap();
+                        (c, gpu.measure_power(kernel).unwrap().watts)
+                    })
+                    .collect();
+                MicrobenchSample {
+                    name: kernel.name().to_string(),
+                    utilizations,
+                    power_by_config,
+                }
+            })
+            .collect();
+        TrainingSet {
+            device: spec.clone(),
+            reference,
+            l2_bytes_per_cycle: 640.0,
+            samples,
+        }
+    }
+
+    /// The three paper GPUs' simulated campaigns at two seeds each, built
+    /// once for every test that reads them.
+    fn paper_campaigns() -> &'static [(String, TrainingSet)] {
+        static CAMPAIGNS: std::sync::OnceLock<Vec<(String, TrainingSet)>> =
+            std::sync::OnceLock::new();
+        CAMPAIGNS.get_or_init(|| {
+            let mut out = Vec::new();
+            for spec in [
+                devices::gtx_titan_x(),
+                devices::titan_xp(),
+                devices::tesla_k40c(),
+            ] {
+                for seed in [42, 7] {
+                    out.push((
+                        format!("{} seed {seed}", spec.name()),
+                        simulated_training(&spec, seed),
+                    ));
+                }
+            }
+            out
+        })
+    }
+
+    /// Reference coefficient step on the explicit design, as the QR path
+    /// solved it: one row per observation at the workspace's voltages,
+    /// scaled by its row scale, kept columns only, `nnls_with` from the
+    /// support of `x`; in robust mode followed by Huber IRLS passes on
+    /// the rows rescaled by `√huber`.
+    fn panel_coefficient_step(
+        cfg: &EstimatorConfig,
+        training: &TrainingSet,
+        ws: &FitWorkspace,
+        x: &mut [f64; NUM_PARAMS],
+    ) {
+        let mut rows = Vec::new();
+        let mut y = Vec::new();
+        for (g, bounds) in ws.group_offsets.windows(2).enumerate() {
+            for o in &ws.obs[bounds[0]..bounds[1]] {
+                let u = training.samples[o.sample].utilizations.as_array();
+                let row = design_row(&u, ws.configs[g], ws.vcore[g], ws.vmem[g]);
+                let s = row_scale(cfg.relative_error, o);
+                rows.push(row.map(|v| v * s));
+                y.push(o.watts * s);
+            }
+        }
+        let solve = |rows: &[[f64; NUM_PARAMS]], y: &[f64], x: &mut [f64; NUM_PARAMS]| {
+            let keep = &ws.keep_cols;
+            let a = gpm_linalg::Matrix::from_fn(rows.len(), keep.len(), |i, j| rows[i][keep[j]]);
+            let start: Vec<usize> = (0..keep.len()).filter(|&j| x[keep[j]] > 0.0).collect();
+            let mut nnls_ws = gpm_linalg::NnlsWorkspace::new();
+            let xr = gpm_linalg::nnls_with(&a, y, &start, &mut nnls_ws).unwrap();
+            x.fill(0.0);
+            for (&i, &v) in keep.iter().zip(xr) {
+                x[i] = v;
+            }
+        };
+        solve(&rows, &y, x);
+        if cfg.robust {
+            for _ in 0..ROBUST_ITERATIONS {
+                let resid: Vec<f64> = rows
+                    .iter()
+                    .zip(&y)
+                    .map(|(row, yi)| dot(row, &x[..]) - yi)
+                    .collect();
+                let mut abs: Vec<f64> = resid.iter().map(|r| r.abs()).collect();
+                abs.sort_unstable_by(f64::total_cmp);
+                let cutoff = HUBER_K * (1.4826 * abs[abs.len() / 2]).max(1e-9);
+                let (wrows, wy): (Vec<_>, Vec<_>) = rows
+                    .iter()
+                    .zip(&y)
+                    .zip(&resid)
+                    .map(|((row, yi), r)| {
+                        let s = huber_weight(*r, cutoff).sqrt();
+                        (row.map(|v| v * s), yi * s)
+                    })
+                    .unzip();
+                solve(&wrows, &wy, x);
+            }
+        }
+    }
+
+    #[test]
+    fn moment_form_coefficient_step_matches_the_qr_path() {
+        let cases = [
+            ("absolute", EstimatorConfig::default()),
+            (
+                "relative",
+                EstimatorConfig {
+                    relative_error: true,
+                    ..EstimatorConfig::default()
+                },
+            ),
+            (
+                "dropped Dp",
+                EstimatorConfig {
+                    drop_components: vec![Component::Dp],
+                    ..EstimatorConfig::default()
+                },
+            ),
+            (
+                "robust",
+                EstimatorConfig {
+                    robust: true,
+                    ..EstimatorConfig::default()
+                },
+            ),
+        ];
+        for (label, training) in paper_campaigns() {
+            for (mode, cfg) in &cases {
+                let estimator = Estimator::with_config(cfg.clone());
+                let mut ws = FitWorkspace::new();
+                estimator.fit_with(training, None, &mut ws).unwrap();
+                // From the fitted voltages, both steps solve cold.
+                let mut moment = [0.0; NUM_PARAMS];
+                let mut reweights = 0;
+                estimator
+                    .solve_coefficients_ws(&mut ws, None, &mut reweights, &mut moment)
+                    .unwrap();
+                let mut panel = [0.0; NUM_PARAMS];
+                panel_coefficient_step(cfg, training, &ws, &mut panel);
+                let scale = panel.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+                for j in 0..NUM_PARAMS {
+                    assert!(
+                        (moment[j] - panel[j]).abs() <= 1e-9 * scale,
+                        "{label}, {mode}: x[{j}] moment form {} vs QR path {}",
+                        moment[j],
+                        panel[j]
+                    );
+                }
+                assert_eq!(reweights, if cfg.robust { ROBUST_ITERATIONS } else { 0 });
+            }
+        }
+    }
+
+    /// Reference voltage sweeps on per-observation slices (the quartic
+    /// minimizer's sums taken observation by observation), then the same
+    /// monotone projection; returns the new `(V̄core, V̄mem)` and leaves
+    /// the workspace's voltages as it found them.
+    fn slice_voltage_step(
+        cfg: &EstimatorConfig,
+        training: &TrainingSet,
+        x: &[f64; NUM_PARAMS],
+        ws: &mut FitWorkspace,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let start = (ws.vcore.clone(), ws.vmem.clone());
+        let activity = |sample: usize| {
+            let u = training.samples[sample].utilizations.as_array();
+            let mut a = x[1];
+            for (j, comp) in Component::CORE.iter().enumerate() {
+                a += x[2 + j] * u[comp.index()];
+            }
+            (a, x[9] + x[10] * u[Component::Dram.index()])
+        };
+        for (g, &config) in ws.configs.clone().iter().enumerate() {
+            if config == training.reference {
+                continue;
+            }
+            let fc = config.core.as_f64() / 1000.0;
+            let fm = config.mem.as_f64() / 1000.0;
+            let group = &ws.obs[ws.group_offsets[g]..ws.group_offsets[g + 1]];
+            let weights: Vec<f64> = group
+                .iter()
+                .enumerate()
+                .map(|(k, o)| {
+                    let robust = if cfg.robust {
+                        ws.obs_weights[ws.group_offsets[g] + k]
+                    } else {
+                        1.0
+                    };
+                    base_weight(cfg.relative_error, o) * robust
+                })
+                .collect();
+            let (mut vc, mut vm) = (ws.vcore[g], ws.vmem[g]);
+            for _ in 0..VOLTAGE_SWEEPS {
+                let (a, r): (Vec<f64>, Vec<f64>) = group
+                    .iter()
+                    .map(|o| {
+                        let (ca, ma) = activity(o.sample);
+                        (ca * fc, o.watts - (x[8] * vm + ma * fm * vm * vm))
+                    })
+                    .unzip();
+                vc = minimize_quartic(x[0], &sums_of(&a, &r, &weights));
+                let (a, r): (Vec<f64>, Vec<f64>) = group
+                    .iter()
+                    .map(|o| {
+                        let (ca, ma) = activity(o.sample);
+                        (ma * fm, o.watts - (x[0] * vc + ca * fc * vc * vc))
+                    })
+                    .unzip();
+                vm = minimize_quartic(x[8], &sums_of(&a, &r, &weights));
+            }
+            ws.vcore[g] = vc;
+            ws.vmem[g] = vm;
+        }
+        if cfg.enforce_monotonic_voltage {
+            project_monotone_ws(ws);
+        }
+        let out = (ws.vcore.clone(), ws.vmem.clone());
+        (ws.vcore, ws.vmem) = start;
+        out
+    }
+
+    /// The fitted coefficient vector of a model.
+    fn coefficients(model: &PowerModel) -> [f64; NUM_PARAMS] {
+        let mut x = [0.0; NUM_PARAMS];
+        x[0] = model.core_params().static_coef;
+        x[1] = model.core_params().idle_dyn;
+        x[2..8].copy_from_slice(&model.core_params().omegas);
+        x[8] = model.mem_params().static_coef;
+        x[9] = model.mem_params().idle_dyn;
+        x[10] = model.mem_params().omegas[0];
+        x
+    }
+
+    #[test]
+    fn moment_form_voltage_step_matches_the_slice_step() {
+        for (label, training) in paper_campaigns() {
+            for robust in [false, true] {
+                let cfg = EstimatorConfig {
+                    robust,
+                    relative_error: robust,
+                    ..EstimatorConfig::default()
+                };
+                let mut ws = FitWorkspace::new();
+                let (model, _) = Estimator::with_config(cfg.clone())
+                    .fit_with(training, None, &mut ws)
+                    .unwrap();
+                let x = coefficients(&model);
+                if robust {
+                    huber_weights_ws(&x, &mut ws);
+                    assert!(ws.obs_weights.iter().any(|&w| w < 1.0), "{label}");
+                }
+                let (vc_ref, vm_ref) = slice_voltage_step(&cfg, training, &x, &mut ws);
+                fit_voltages_ws(&cfg, training.reference, &x, &mut ws);
+                for (g, config) in ws.configs.iter().enumerate() {
+                    for (got, want) in [(ws.vcore[g], vc_ref[g]), (ws.vmem[g], vm_ref[g])] {
+                        assert!(
+                            (got - want).abs() <= 1e-12,
+                            "{label}, robust {robust}, {config}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_forms_reproduce_the_per_observation_sums() {
+        let spec = devices::gtx_titan_x();
+        let training = simulated_training(&spec, 42);
+        let mut ws = FitWorkspace::new();
+        let (model, _) = Estimator::new().fit_with(&training, None, &mut ws).unwrap();
+        let x = coefficients(&model);
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * got.abs().max(want.abs());
+        for (g, &config) in ws.configs.iter().enumerate() {
+            let fc = config.core.as_f64() / 1000.0;
+            let fm = config.mem.as_f64() / 1000.0;
+            let (vc, vm) = (ws.vcore[g], ws.vmem[g]);
+            let group = &ws.obs[ws.group_offsets[g]..ws.group_offsets[g + 1]];
+            let z = |o: &Obs| ws.z[o.sample];
+            let alpha = |o: &Obs| gpm_linalg::batch::dot(&x[1..8], &z(o)[..7]);
+            let gamma = |o: &Obs| x[9] + x[10] * z(o)[NZ - 1];
+            let core: (Vec<f64>, Vec<f64>) = group
+                .iter()
+                .map(|o| {
+                    (
+                        alpha(o) * fc,
+                        o.watts - (x[8] * vm + gamma(o) * fm * vm * vm),
+                    )
+                })
+                .unzip();
+            let mem: (Vec<f64>, Vec<f64>) = group
+                .iter()
+                .map(|o| {
+                    (
+                        gamma(o) * fm,
+                        o.watts - (x[0] * vc + alpha(o) * fc * vc * vc),
+                    )
+                })
+                .unzip();
+            let forms = GroupForms::new(&ws.moments[g], &x);
+            let steps = [
+                (
+                    x[0],
+                    core,
+                    forms.sums(&forms.core, &forms.mem, fc, x[8] * vm, fm * vm * vm),
+                ),
+                (
+                    x[8],
+                    mem,
+                    forms.sums(&forms.mem, &forms.core, fm, x[0] * vc, fc * vc * vc),
+                ),
+            ];
+            for (b, (a, r), got) in steps {
+                let want = sums_of(&a, &r, &vec![1.0; a.len()]);
+                let fields = |s: QuarticSums| [s.w, s.a, s.a2, s.ar, s.r, s.r2];
+                for (k, (gv, wv)) in fields(got).into_iter().zip(fields(want)).enumerate() {
+                    assert!(close(gv, wv), "{config}: sum {k}: {gv} vs {wv}");
+                }
+                // The objective from the sums is the group's squared error.
+                for v in [0.5, 1.0, 1.5] {
+                    let direct: f64 = a
+                        .iter()
+                        .zip(&r)
+                        .map(|(ai, ri)| (b * v + ai * v * v - ri).powi(2))
+                        .sum();
+                    let from_sums = got.objective(b, v);
+                    assert!(
+                        (from_sums - direct).abs() <= 1e-9 * direct.max(1.0),
+                        "{config}: objective at {v}: {from_sums} vs {direct}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,8 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
+#[doc(hidden)]
+pub mod bench_support;
 mod breakdown;
 mod coverage;
 mod crossval;

@@ -3,44 +3,97 @@
 //! recalibration, cross-validation folds, benchmark loops — stop
 //! allocating once the buffers have grown to the problem size.
 //!
-//! The workspace never changes *what* the estimator computes: every
-//! helper that routes through it performs the same floating-point
-//! operations in the same order as the original allocating code, so a
-//! fit with a fresh workspace, a reused workspace, or the plain
+//! The paper measures utilizations once, at the reference configuration,
+//! so every Eq. 6/7 design row factors as `D(c) ⊙ z_k`: `D(c)` depends
+//! only on the configuration and its voltages, and `z_k` only on the
+//! kernel, with `NZ` distinct entries `[1, u₁..u₆, u_dram]`. The
+//! workspace therefore keeps, per configuration, the weighted moments of
+//! its observations ([`Moments`]), and both alternation steps read those
+//! instead of a kernels × configurations design.
+//!
+//! The workspace never changes *what* the estimator computes: a fit with
+//! a fresh workspace, a reused workspace, or the plain
 //! [`crate::Estimator::fit`] entry point produces bit-identical models.
 
-use crate::estimator::{NUM_PARAMS, PIN_WEIGHT};
+use crate::estimator::{kernel_factor, NUM_PARAMS, NZ, PIN_WEIGHT};
 use crate::TrainingSet;
-use gpm_linalg::{IsotonicWorkspace, LstsqWorkspace, Matrix, NnlsWorkspace, SpdInverseWorkspace};
+use gpm_linalg::{IsotonicWorkspace, Matrix, NnlsGramWorkspace, SpdInverseWorkspace};
 use gpm_spec::{FreqConfig, Mhz};
 
-/// Flattened observation: one `(microbenchmark, configuration)` power
-/// measurement. `sample` indexes into the *original* training set, so a
-/// masked (cross-validation fold) fit shares the owning set untouched.
+/// One `(microbenchmark, configuration)` power measurement.
 #[derive(Debug)]
 pub(crate) struct Obs {
+    /// Index into the training set's samples (and [`FitWorkspace::z`]),
+    /// so a masked (cross-validation fold) fit shares the owning set
+    /// untouched.
     pub(crate) sample: usize,
-    pub(crate) config: FreqConfig,
     pub(crate) watts: f64,
 }
 
-/// Scratch for the Eq. 12 voltage solves: one configuration group's
-/// gathered slices and quartic-minimizer inputs, reused across groups,
-/// sweeps and iterations.
-#[derive(Debug, Default)]
-pub(crate) struct GroupScratch {
-    /// Core activity terms `A_i` for the group's observations.
-    pub(crate) a_acts: Vec<f64>,
-    /// Memory activity terms `B_i`.
-    pub(crate) b_acts: Vec<f64>,
-    /// Measured powers.
-    pub(crate) watts: Vec<f64>,
-    /// Observation weights (relative-error base x Huber weight).
-    pub(crate) weights: Vec<f64>,
-    /// Cross-domain residuals from `domain_residuals_into`.
-    pub(crate) resid: Vec<f64>,
-    /// Quadratic coefficients `aᵢ` handed to the quartic minimizer.
-    pub(crate) coef: Vec<f64>,
+/// Weighted moments of one configuration's observations, `w` being each
+/// observation's least-squares weight.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Moments {
+    /// `Σ w·z zᵀ`, row-major and symmetric.
+    pub(crate) zz: [f64; NZ * NZ],
+    /// `Σ w·z·P`.
+    pub(crate) zp: [f64; NZ],
+    /// `Σ w·P²`.
+    pub(crate) pp: f64,
+    /// `max √w·|z_e|` per entry: with `D(c)`, the largest weighted design
+    /// entry of each column, for the NNLS tolerance.
+    pub(crate) zmax: [f64; NZ],
+    /// `max √w·|P|`, the largest weighted target.
+    pub(crate) pmax: f64,
+}
+
+impl Default for Moments {
+    fn default() -> Self {
+        Moments {
+            zz: [0.0; NZ * NZ],
+            zp: [0.0; NZ],
+            pp: 0.0,
+            zmax: [0.0; NZ],
+            pmax: 0.0,
+        }
+    }
+}
+
+/// Fills `out` with one [`Moments`] per configuration group, weighting
+/// observation `i` (an index into `obs`) by `weight(i, &obs[i])`.
+pub(crate) fn build_moments(
+    obs: &[Obs],
+    z: &[[f64; NZ]],
+    group_offsets: &[usize],
+    mut weight: impl FnMut(usize, &Obs) -> f64,
+    out: &mut Vec<Moments>,
+) {
+    out.clear();
+    for g in group_offsets.windows(2) {
+        let mut m = Moments::default();
+        for (i, o) in obs.iter().enumerate().take(g[1]).skip(g[0]) {
+            let w = weight(i, o);
+            let zk = &z[o.sample];
+            let sw = w.sqrt();
+            for (a, &za) in zk.iter().enumerate() {
+                let wz = w * za;
+                let row = &mut m.zz[a * NZ..(a + 1) * NZ];
+                for (cell, &zb) in row[a..].iter_mut().zip(&zk[a..]) {
+                    *cell += wz * zb;
+                }
+                m.zp[a] += wz * o.watts;
+                m.zmax[a] = m.zmax[a].max(sw * za.abs());
+            }
+            m.pp += w * o.watts * o.watts;
+            m.pmax = m.pmax.max(sw * o.watts.abs());
+        }
+        for a in 1..NZ {
+            for b in 0..a {
+                m.zz[a * NZ + b] = m.zz[b * NZ + a];
+            }
+        }
+        out.push(m);
+    }
 }
 
 /// Reusable solver state for [`crate::Estimator`] fits.
@@ -54,17 +107,16 @@ pub(crate) struct GroupScratch {
 #[derive(Debug, Default)]
 pub struct FitWorkspace {
     // --- per-fit problem layout (rebuilt by `prepare`) ---
+    /// Design factor `z` per training sample.
+    pub(crate) z: Vec<[f64; NZ]>,
+    /// Observations grouped by configuration: group `g`'s are
+    /// `obs[group_offsets[g]..group_offsets[g + 1]]`, in sample order.
     pub(crate) obs: Vec<Obs>,
-    /// Config index (into `configs`) per observation.
-    pub(crate) obs_cfg: Vec<usize>,
+    pub(crate) group_offsets: Vec<usize>,
+    pub(crate) group_cursor: Vec<usize>,
     /// Covered configurations, ascending — the same list
     /// `TrainingSet::configs()` yields for the (masked) sample set.
     pub(crate) configs: Vec<FreqConfig>,
-    /// CSR observation groups, one per configuration, observation
-    /// indices in flatten order.
-    pub(crate) group_offsets: Vec<usize>,
-    pub(crate) group_items: Vec<usize>,
-    pub(crate) group_cursor: Vec<usize>,
     /// Monotone-projection chains: per memory level, the config indices
     /// ascending in core frequency (for `V̄core`), and per core level
     /// ascending in memory frequency (for `V̄mem`), with the isotonic
@@ -85,32 +137,25 @@ pub struct FitWorkspace {
     pub(crate) vcore: Vec<f64>,
     pub(crate) vmem: Vec<f64>,
 
-    // --- the design panel: one Eq. 6/7 row per observation at the
-    // current voltages. Refilled after every voltage mutation (seeding,
-    // each voltage step, watchdog damping) and trusted in between by
-    // the coefficient solve, the RMSE/Huber passes and diagnostics. ---
-    pub(crate) panel: Vec<f64>,
+    // --- per-configuration moments ---
+    /// Weighted by each observation's base weight (1, or `1/P²` in
+    /// relative-error mode); built once per fit.
+    pub(crate) moments: Vec<Moments>,
+    /// Robust mode's Huber-reweighted moments (IRLS passes and the
+    /// voltage step), and the unweighted moments of the diagnostics when
+    /// the base weights are not all 1.
+    pub(crate) reweighted: Vec<Moments>,
 
-    // --- coefficient-solve scratch ---
-    /// Weighted design rows (full `NUM_PARAMS` width) and targets.
-    pub(crate) rows: Vec<f64>,
-    pub(crate) y: Vec<f64>,
-    /// Huber-reweighted copies (IRLS always rescales the originals).
-    pub(crate) wrows: Vec<f64>,
-    pub(crate) wy: Vec<f64>,
-    pub(crate) a: Matrix,
-    pub(crate) nnls: NnlsWorkspace,
-    pub(crate) lstsq: LstsqWorkspace,
+    // --- coefficient-solve scratch: the kept-column Gram form ---
+    pub(crate) gram: Matrix,
+    pub(crate) atb: Vec<f64>,
+    pub(crate) nnls: NnlsGramWorkspace,
 
     // --- per-iteration scratch ---
     pub(crate) obs_weights: Vec<f64>,
     pub(crate) pred: Vec<f64>,
     pub(crate) resid: Vec<f64>,
     pub(crate) abs: Vec<f64>,
-    /// Per-sample activity terms `(A, B)`, indexed by original sample.
-    pub(crate) act_a: Vec<f64>,
-    pub(crate) act_b: Vec<f64>,
-    pub(crate) group_scratch: GroupScratch,
     /// Monotone-projection gather/output buffers.
     pub(crate) chain_vals: Vec<f64>,
     pub(crate) chain_fit: Vec<f64>,
@@ -118,9 +163,6 @@ pub struct FitWorkspace {
 
     // --- diagnostics scratch ---
     pub(crate) meas: Vec<f64>,
-    pub(crate) amat: Matrix,
-    pub(crate) at: Matrix,
-    pub(crate) ata: Matrix,
     pub(crate) inv: Matrix,
     pub(crate) spd: SpdInverseWorkspace,
 }
@@ -131,69 +173,68 @@ impl FitWorkspace {
         FitWorkspace::default()
     }
 
-    /// Rebuilds the per-fit problem layout: flattened observations
-    /// (honoring the optional sample mask), the sorted configuration
-    /// list, CSR observation groups and the monotone-projection chains.
-    /// Only reads the buffers it overwrites, so a reused workspace sees
-    /// no stale state.
+    /// Rebuilds the per-fit problem layout: the design factors, the
+    /// observations grouped by configuration (honoring the optional
+    /// sample mask), the sorted configuration list and the
+    /// monotone-projection chains. Only reads the buffers it overwrites,
+    /// so a reused workspace sees no stale state.
     pub(crate) fn prepare(&mut self, training: &TrainingSet, kept: Option<&[bool]>) {
         let reference = training.reference;
-        self.obs.clear();
-        for (i, s) in training.samples.iter().enumerate() {
-            if let Some(mask) = kept {
-                if !mask[i] {
-                    continue;
-                }
-            }
-            for (&config, &watts) in &s.power_by_config {
-                self.obs.push(Obs {
-                    sample: i,
-                    config,
-                    watts,
-                });
-            }
-        }
+        self.z.clear();
+        self.z.extend(
+            training
+                .samples
+                .iter()
+                .map(|s| kernel_factor(&s.utilizations.as_array())),
+        );
+        let keep_sample = |i: usize| kept.is_none_or(|m| m[i]);
 
         // Same list `TrainingSet::configs()` computes for the kept
         // samples: sorted ascending, deduplicated.
         self.configs.clear();
-        self.configs.extend(self.obs.iter().map(|o| o.config));
+        for (i, s) in training.samples.iter().enumerate() {
+            if keep_sample(i) {
+                self.configs.extend(s.power_by_config.keys().copied());
+            }
+        }
         self.configs.sort_unstable();
         self.configs.dedup();
 
-        self.obs_cfg.clear();
-        for o in &self.obs {
-            let g = self
-                .configs
-                .binary_search(&o.config)
-                .expect("every observation's config is in the sorted list");
-            self.obs_cfg.push(g);
-        }
-
-        // CSR groups in (config ascending, observation order) — exactly
-        // the iteration order of the former per-call
-        // `BTreeMap<FreqConfig, Vec<usize>>` grouping.
+        // Counting sort of the observations into configuration groups,
+        // each in sample order.
         let ncfg = self.configs.len();
         self.group_offsets.clear();
         self.group_offsets.resize(ncfg + 1, 0);
-        for &g in &self.obs_cfg {
-            self.group_offsets[g + 1] += 1;
+        for (i, s) in training.samples.iter().enumerate() {
+            if keep_sample(i) {
+                for config in s.power_by_config.keys() {
+                    let g = self.group_index(*config);
+                    self.group_offsets[g + 1] += 1;
+                }
+            }
         }
-        for i in 0..ncfg {
-            self.group_offsets[i + 1] += self.group_offsets[i];
+        for g in 0..ncfg {
+            self.group_offsets[g + 1] += self.group_offsets[g];
         }
-        self.group_items.clear();
-        self.group_items.resize(self.obs.len(), 0);
+        self.obs.clear();
+        self.obs.resize_with(self.group_offsets[ncfg], || Obs {
+            sample: 0,
+            watts: 0.0,
+        });
         self.group_cursor.clear();
         self.group_cursor
             .extend_from_slice(&self.group_offsets[..ncfg]);
-        for (i, &g) in self.obs_cfg.iter().enumerate() {
-            self.group_items[self.group_cursor[g]] = i;
-            self.group_cursor[g] += 1;
+        for (i, s) in training.samples.iter().enumerate() {
+            if keep_sample(i) {
+                for (&config, &watts) in &s.power_by_config {
+                    let g = self.group_index(config);
+                    self.obs[self.group_cursor[g]] = Obs { sample: i, watts };
+                    self.group_cursor[g] += 1;
+                }
+            }
         }
 
-        // Monotone-projection chains: fixed per fit, so the per-call key
-        // collection/sort the old projection did is hoisted here.
+        // Monotone-projection chains: fixed per fit.
         self.mems.clear();
         self.mems.extend(self.configs.iter().map(|c| c.mem));
         self.mems.sort_unstable();
@@ -246,6 +287,13 @@ impl FitWorkspace {
             }
             self.mem_chain_offsets.push(self.mem_chains.len());
         }
+    }
+
+    /// Index of a covered configuration in `configs`.
+    fn group_index(&self, config: FreqConfig) -> usize {
+        self.configs
+            .binary_search(&config)
+            .expect("every observation's config is in the sorted list")
     }
 
     /// Kept-column bookkeeping for degraded-component solves.

@@ -1,7 +1,7 @@
 //! Batched evaluation kernels for the two-domain V-F power surface.
 //!
 //! Every downstream sweep — Pareto frontiers, governor grid scans,
-//! serve-engine batches, the Eq. 12 voltage solves — evaluates one fitted
+//! serve-engine batches — evaluates one fitted
 //! model over *many* `(utilization, V-F)` points. Doing that through the
 //! scalar per-point predictor wastes most of its time on per-call
 //! overhead; these kernels evaluate the same arithmetic as blocked,
@@ -149,8 +149,8 @@ pub fn dispatch_kind() -> &'static str {
 /// Row-panel dot products: `out[r] = Σⱼ rows[r·ncols + j] · x[j]` with a
 /// strictly in-order accumulation per row (starting from `+0.0`), which
 /// is bit-identical to `row.iter().zip(x).map(|(a, b)| a * b).sum()`.
-/// `rows` is one row-major panel; the estimator uses this for its
-/// design-matrix predictions (RMSE, Huber weights, diagnostics).
+/// `rows` is one row-major panel; the joint solver uses this for its
+/// design-matrix residuals.
 ///
 /// # Errors
 ///
@@ -173,8 +173,8 @@ pub fn dot_rows_into(rows: &[f64], x: &[f64], out: &mut [f64]) -> Result<(), Lin
 /// Strictly in-order inner product: `Σᵢ a[i]·b[i]` accumulated left to
 /// right from `+0.0` — bit-identical to
 /// `a.iter().zip(b).map(|(x, y)| x * y).sum()`. This is the one audited
-/// inner-product implementation in the workspace; the estimator and joint
-/// solver route their residual and design-row dot products through it so
+/// inner-product implementation in the workspace; the estimator, the
+/// joint solver and the Gram-form NNLS route their dot products through it so
 /// there is a single place where the bit-identity contract for inner
 /// products lives. Trailing elements of the longer slice are ignored
 /// (zip semantics).
@@ -185,38 +185,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         acc += x * y;
     }
     acc
-}
-
-/// Batched Eq. 12 cross-domain residuals: with one domain's voltage `v`
-/// and frequency `f` fixed for the whole batch,
-/// `out[i] = watts[i] - (static_coef·v + activity[i]·f·v·v)`
-/// — the measured power minus the *other* domain's contribution, which
-/// is the target the per-configuration quartic voltage solve fits. The
-/// expression associates exactly as the scalar estimator wrote it, so
-/// the solve's inputs (and therefore the fitted voltages and every
-/// golden trace downstream) are bit-identical.
-///
-/// # Panics
-///
-/// Panics if `activity`, `watts` and `out` differ in length.
-pub fn domain_residuals_into(
-    static_coef: f64,
-    f: f64,
-    v: f64,
-    activity: &[f64],
-    watts: &[f64],
-    out: &mut [f64],
-) {
-    assert_eq!(
-        activity.len(),
-        watts.len(),
-        "one activity term per observation"
-    );
-    assert_eq!(activity.len(), out.len(), "one output slot per observation");
-    let fixed = static_coef * v;
-    for i in 0..activity.len() {
-        out[i] = watts[i] - (fixed + activity[i] * f * v * v);
-    }
 }
 
 #[cfg(test)]
@@ -347,21 +315,5 @@ mod tests {
         let mut out = vec![0.0; 2];
         assert!(dot_rows_into(&[1.0, 2.0, 3.0], &[1.0, 1.0], &mut out).is_err());
         assert!(dot_rows_into(&[1.0, 2.0], &[], &mut out).is_err());
-    }
-
-    #[test]
-    fn domain_residuals_match_the_scalar_expression() {
-        gpm_check::check("domain_residuals_match_the_scalar_expression", |g| {
-            let n = g.usize_in(0..50);
-            let activity = g.vec_f64(n..n + 1, 0.0, 80.0);
-            let watts = g.vec_f64(n..n + 1, 10.0, 400.0);
-            let (sc, f, v) = (g.f64_in(0.0, 30.0), g.f64_in(0.1, 5.0), g.f64_in(0.25, 3.0));
-            let mut out = vec![0.0; n];
-            domain_residuals_into(sc, f, v, &activity, &watts, &mut out);
-            for i in 0..n {
-                let want = watts[i] - (sc * v + activity[i] * f * v * v);
-                assert_eq!(want.to_bits(), out[i].to_bits());
-            }
-        });
     }
 }

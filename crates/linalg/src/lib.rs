@@ -3,11 +3,15 @@
 //! Implements, from scratch, every numerical routine the iterative
 //! estimator of Guerreiro et al. (HPCA 2018, Section III-D) needs:
 //!
-//! - [`Matrix`] and Householder-QR [`lstsq`]/[`ridge_lstsq`] for the linear
-//!   coefficient fits of steps 1 and 3 (Eq. 11). The tiny ridge variant
-//!   handles the *deliberate* rank deficiency of step 1, where the
-//!   `β0`/`β2` columns coincide while all normalized voltages are 1;
-//! - Lawson–Hanson [`nnls`] for physically non-negative coefficients;
+//! - [`Matrix`] and Householder-QR [`lstsq`]/[`ridge_lstsq`] for linear
+//!   least squares. The tiny ridge variant handles rank-deficient
+//!   designs such as step 1's, where the `β0`/`β2` columns coincide while
+//!   all normalized voltages are 1;
+//! - Lawson–Hanson [`nnls`] for physically non-negative coefficients, on
+//!   the design itself or, as [`nnls_gram_with`], on its Gram form
+//!   `(AᵀA, Aᵀb)`: the estimator's coefficient steps (Eq. 11) solve the
+//!   Gram form, assembled from per-configuration moments, and the QR
+//!   solve is its reference;
 //! - weighted pool-adjacent-violators [`isotonic_increasing`] for the
 //!   voltage monotonicity constraint of Eq. 12;
 //! - closed-form [`cubic_roots`] — the per-configuration voltage objective
@@ -49,5 +53,5 @@ pub use isotonic::{
     isotonic_decreasing, isotonic_increasing, isotonic_increasing_into, IsotonicWorkspace,
 };
 pub use matrix::Matrix;
-pub use nnls::{nnls, nnls_with, NnlsWorkspace};
+pub use nnls::{nnls, nnls_gram_with, nnls_with, NnlsGramWorkspace, NnlsWorkspace};
 pub use qr::{lstsq, lstsq_with, ridge_lstsq, ridge_lstsq_with, LstsqWorkspace};

@@ -219,6 +219,251 @@ fn passive_cols<'m>(a: &'m Matrix, idx: &[usize], sub: &'m mut Matrix) -> &'m Ma
     }
 }
 
+/// A passive-set pivot at or below this fraction of its diagonal entry
+/// marks the passive columns as linearly dependent. Forming `AᵀA`
+/// squares `A`'s condition number, so the Gram form resolves a column's
+/// independent part only down to about `√ε` of its norm; this test flags
+/// exact and near-exact duplicates (pivot ratios of a few ε) with a wide
+/// margin while leaving condition numbers up to ~1e6 alone.
+const GRAM_PIVOT_TOL: f64 = 1e-12;
+
+/// Reusable scratch for [`nnls_gram_with`]: the active-set bookkeeping,
+/// the gradient, and the passive block's Cholesky factor, so repeated
+/// solves perform no heap allocation after the first call.
+#[derive(Debug, Default)]
+pub struct NnlsGramWorkspace {
+    x: Vec<f64>,
+    passive: Vec<bool>,
+    w: Vec<f64>,
+    idx: Vec<usize>,
+    l: Vec<f64>,
+    z_sub: Vec<f64>,
+    z: Vec<f64>,
+}
+
+impl NnlsGramWorkspace {
+    /// Creates an empty workspace; buffers grow on first use.
+    pub fn new() -> Self {
+        NnlsGramWorkspace::default()
+    }
+}
+
+/// [`nnls_with`] on the normal equations: minimizes `‖Ax − b‖²` over
+/// `x ≥ 0` given only the Gram matrix `gram = AᵀA` and `atb = Aᵀb`.
+///
+/// The Lawson–Hanson loop is the one [`nnls_with`] runs, from the
+/// starting passive set `start`, with the gradient `Aᵀb − AᵀA·x` and each
+/// passive-set least-squares solve done by Cholesky on the passive block
+/// of `gram`. The design behind the Gram form is not available, so the
+/// caller passes the largest `|A|` and `|b|` entries: the KKT tolerance is
+/// `1e-10·max(a_max, 1)·max(b_max, 1)`, exactly as [`nnls_with`] derives
+/// it from `A` and `b`. A passive block whose Cholesky pivot falls to
+/// `1e-12` of its diagonal entry is treated as singular, as [`nnls_with`]
+/// treats a rank-deficient QR: an entering column that is linearly
+/// dependent on the passive set is dropped again, and a singular start
+/// set falls back to the cold solve.
+///
+/// Because the result is always the Cholesky solve on the final passive
+/// set, a warm start that reaches the same set returns the same bits as
+/// the cold solve (an empty `start`). Forming `AᵀA` squares the
+/// condition number, so against [`nnls_with`] on the design itself the
+/// answer agrees to roughly `κ(A)²·ε` relative.
+///
+/// Returns the solution as a slice borrowed from the workspace; copy it
+/// out before the next solve.
+///
+/// # Errors
+///
+/// - [`LinalgError::DimensionMismatch`] if `gram` is not square, `atb`
+///   does not match it, or a start index is not a column;
+/// - [`LinalgError::NotFinite`] on NaN/infinite inputs;
+/// - [`LinalgError::NoConvergence`] if the active-set loop exceeds its
+///   iteration cap (does not occur for well-posed problems).
+pub fn nnls_gram_with<'ws>(
+    gram: &Matrix,
+    atb: &[f64],
+    a_max: f64,
+    b_max: f64,
+    start: &[usize],
+    ws: &'ws mut NnlsGramWorkspace,
+) -> Result<&'ws [f64], LinalgError> {
+    let n = gram.cols();
+    if gram.rows() != n || atb.len() != n {
+        return Err(LinalgError::DimensionMismatch {
+            expected: format!("{n}x{n} Gram matrix and rhs of length {n}"),
+            got: format!("{}x{n} and length {}", gram.rows(), atb.len()),
+        });
+    }
+    if let Some(&j) = start.iter().find(|&&j| j >= n) {
+        return Err(LinalgError::DimensionMismatch {
+            expected: format!("start columns below {n}"),
+            got: format!("column {j}"),
+        });
+    }
+    if !gram.is_finite() || !a_max.is_finite() || !b_max.is_finite() {
+        return Err(LinalgError::NotFinite);
+    }
+    if atb.iter().any(|x| !x.is_finite()) {
+        return Err(LinalgError::NotFinite);
+    }
+
+    let NnlsGramWorkspace {
+        x,
+        passive,
+        w,
+        idx,
+        l,
+        z_sub,
+        z,
+    } = ws;
+    x.clear();
+    x.resize(n, 0.0);
+    passive.clear();
+    passive.resize(n, false);
+    let tol = 1e-10 * a_max.max(1.0) * b_max.max(1.0);
+    let positive = tol.min(1e-12);
+    let max_outer = 3 * n + 30;
+
+    for &j in start {
+        passive[j] = true;
+    }
+    loop {
+        idx.clear();
+        idx.extend((0..n).filter(|&j| passive[j]));
+        if idx.is_empty() {
+            break;
+        }
+        if passive_solve(gram, atb, idx, l, z_sub).is_err() {
+            passive.fill(false);
+            break;
+        }
+        if z_sub.iter().all(|&v| v > positive) {
+            for (&j, &v) in idx.iter().zip(&*z_sub) {
+                x[j] = v;
+            }
+            break;
+        }
+        for (&j, &v) in idx.iter().zip(&*z_sub) {
+            if v <= positive {
+                passive[j] = false;
+            }
+        }
+    }
+
+    for _ in 0..max_outer {
+        // w = Aᵀb − AᵀA·x, the negated gradient of ½‖Ax − b‖².
+        w.clear();
+        w.extend((0..n).map(|j| atb[j] - crate::batch::dot(gram.row(j), x)));
+
+        let mut best: Option<(usize, f64)> = None;
+        for j in 0..n {
+            if !passive[j] && w[j] > tol && best.is_none_or(|(_, bw)| w[j] > bw) {
+                best = Some((j, w[j]));
+            }
+        }
+        let Some((j_star, _)) = best else {
+            return Ok(x);
+        };
+        passive[j_star] = true;
+
+        let max_inner = 3 * n + 30;
+        let mut inner_ok = false;
+        for _ in 0..max_inner {
+            idx.clear();
+            idx.extend((0..n).filter(|&j| passive[j]));
+            if passive_solve(gram, atb, idx, l, z_sub).is_err() {
+                // The entering column depends linearly on the passive
+                // set; drop it and accept the current iterate.
+                passive[j_star] = false;
+                inner_ok = true;
+                break;
+            }
+            z.clear();
+            z.resize(n, 0.0);
+            for (&j, &v) in idx.iter().zip(&*z_sub) {
+                z[j] = v;
+            }
+            if idx.iter().all(|&j| z[j] > positive) {
+                std::mem::swap(x, z);
+                inner_ok = true;
+                break;
+            }
+            let mut alpha = 1.0f64;
+            for &j in &*idx {
+                if z[j] <= 0.0 && x[j] > z[j] {
+                    alpha = alpha.min(x[j] / (x[j] - z[j]));
+                }
+            }
+            for j in 0..n {
+                x[j] += alpha * (z[j] - x[j]);
+                if passive[j] && x[j] <= positive {
+                    x[j] = 0.0;
+                    passive[j] = false;
+                }
+            }
+        }
+        if !inner_ok {
+            return Err(LinalgError::NoConvergence {
+                routine: "nnls_gram inner loop",
+                iterations: max_inner,
+            });
+        }
+    }
+    Err(LinalgError::NoConvergence {
+        routine: "nnls_gram",
+        iterations: max_outer,
+    })
+}
+
+/// Solves `G[P, P]·z = h[P]` for the passive columns `P = idx` by
+/// Cholesky, factoring into `l` (packed row-major `k x k`) and writing
+/// `z` in `idx` order. A pivot at or below [`GRAM_PIVOT_TOL`] of its
+/// diagonal entry reports [`LinalgError::Singular`].
+fn passive_solve(
+    g: &Matrix,
+    h: &[f64],
+    idx: &[usize],
+    l: &mut Vec<f64>,
+    z: &mut Vec<f64>,
+) -> Result<(), LinalgError> {
+    let k = idx.len();
+    l.clear();
+    l.resize(k * k, 0.0);
+    for (i, &gi) in idx.iter().enumerate() {
+        for (j, &gj) in idx[..=i].iter().enumerate() {
+            let mut sum = g[(gi, gj)];
+            for p in 0..j {
+                sum -= l[i * k + p] * l[j * k + p];
+            }
+            if i == j {
+                if sum <= GRAM_PIVOT_TOL * g[(gi, gi)] || sum <= 0.0 {
+                    return Err(LinalgError::Singular);
+                }
+                l[i * k + i] = sum.sqrt();
+            } else {
+                l[i * k + j] = sum / l[j * k + j];
+            }
+        }
+    }
+    // Forward substitution L·y = h[P], then back substitution Lᵀ·z = y.
+    z.clear();
+    for (i, &gi) in idx.iter().enumerate() {
+        let mut s = h[gi];
+        for p in 0..i {
+            s -= l[i * k + p] * z[p];
+        }
+        z.push(s / l[i * k + i]);
+    }
+    for i in (0..k).rev() {
+        let mut s = z[i];
+        for p in i + 1..k {
+            s -= l[p * k + i] * z[p];
+        }
+        z[i] = s / l[i * k + i];
+    }
+    Ok(())
+}
+
 /// Solves `min ||A x - b||₂` subject to `x ≥ 0` (Lawson–Hanson active set).
 ///
 /// The power-model coefficients `β` and `ω` of Eqs. 6-7 are physically
@@ -681,6 +926,91 @@ mod tests {
                         // ... except from a singular start set, which
                         // falls back to the cold solve.
                         assert_eq!(bits(x), bits(&nnls(&a, &b).unwrap()));
+                    }
+                },
+            );
+        }
+
+        /// `nnls_gram_with` on `(AᵀA, Aᵀb)` with `A`'s and `b`'s largest
+        /// entries, from `start`.
+        fn gram_solve(
+            a: &Matrix,
+            b: &[f64],
+            start: &[usize],
+            ws: &mut NnlsGramWorkspace,
+        ) -> Result<Vec<f64>, LinalgError> {
+            let gram = a.transpose().matmul(a).unwrap();
+            let atb = a.transpose().mat_vec(b).unwrap();
+            let b_max = b.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+            nnls_gram_with(&gram, &atb, a.max_abs(), b_max, start, ws).map(<[f64]>::to_vec)
+        }
+
+        #[test]
+        fn gram_form_matches_the_qr_solve_and_warm_starts_its_cold_solve() {
+            gpm_check::check(
+                "gram_form_matches_the_qr_solve_and_warm_starts_its_cold_solve",
+                |g| {
+                    let cols = g.usize_in(1..12);
+                    let rows = cols + g.usize_in(1..40);
+                    let a = full_rank_design(g, rows, cols);
+                    let truth: Vec<f64> = (0..cols).map(|_| g.f64_in(-0.5, 2.0)).collect();
+                    let b = noisy_rhs(g, &a, &truth);
+                    let qr = nnls(&a, &b).unwrap();
+                    let mut ws = NnlsGramWorkspace::new();
+                    let cold = gram_solve(&a, &b, &[], &mut ws).unwrap();
+                    let scale = qr.iter().fold(1e-300f64, |s, v| s.max(v.abs()));
+                    for (j, (c, q)) in cold.iter().zip(&qr).enumerate() {
+                        assert!(
+                            (c - q).abs() <= 1e-9 * scale,
+                            "x[{j}]: Gram form {c} vs QR {q} ({cold:?} vs {qr:?})"
+                        );
+                    }
+                    assert_kkt(&a, &b, &cold);
+                    let starts = [
+                        (0..cols).collect(),
+                        (0..cols).filter(|_| g.bool()).collect(),
+                        support(&cold),
+                        (0..cols).filter(|&j| cold[j] == 0.0).collect::<Vec<_>>(),
+                    ];
+                    for start in &starts {
+                        let warm = gram_solve(&a, &b, start, &mut ws).unwrap();
+                        assert_eq!(bits(&warm), bits(&cold), "start {start:?}");
+                    }
+                },
+            );
+        }
+
+        #[test]
+        fn gram_form_on_duplicate_columns_stays_feasible_and_kkt() {
+            gpm_check::check(
+                "gram_form_on_duplicate_columns_stays_feasible_and_kkt",
+                |g| {
+                    let cols = g.usize_in(2..8);
+                    let rows = cols + g.usize_in(1..20);
+                    let mut a = full_rank_design(g, rows, cols);
+                    let c = g.usize_in(0..cols);
+                    let d = (c + g.usize_in(1..cols)) % cols;
+                    for i in 0..rows {
+                        a[(i, d)] = a[(i, c)];
+                    }
+                    let truth: Vec<f64> = (0..cols).map(|_| g.f64_in(-0.5, 2.0)).collect();
+                    let b = noisy_rhs(g, &a, &truth);
+                    let mut start: Vec<usize> = (0..cols).filter(|_| g.bool()).collect();
+                    let singular = g.bool();
+                    if singular {
+                        start.extend([c, d]);
+                    }
+                    let mut ws = NnlsGramWorkspace::new();
+                    let x = gram_solve(&a, &b, &start, &mut ws).unwrap();
+                    assert_kkt(&a, &b, &x);
+                    assert!(
+                        x[c] == 0.0 || x[d] == 0.0,
+                        "a duplicate pair never shares the support: {x:?}"
+                    );
+                    if singular {
+                        // A singular start set falls back to the cold solve.
+                        let cold = gram_solve(&a, &b, &[], &mut ws).unwrap();
+                        assert_eq!(bits(&x), bits(&cold));
                     }
                 },
             );
