@@ -1263,9 +1263,8 @@ mod tests {
     use gpm_spec::{devices, DeviceSpec, Domain, Mhz};
     use std::collections::BTreeMap;
 
-    /// Scalar design-row product — the hot paths all go through the
-    /// batched panel pass, which must match this bit-for-bit; tests build
-    /// ground truth with it.
+    /// Scalar design-row product: tests build ground truth and the
+    /// explicit-design reference with it.
     fn dot(row: &[f64; NUM_PARAMS], x: &[f64]) -> f64 {
         row.iter().zip(x).map(|(a, b)| a * b).sum()
     }
@@ -1816,8 +1815,42 @@ mod tests {
         }
     }
 
-    /// Reference voltage sweeps on per-observation slices (the quartic
-    /// minimizer's sums taken observation by observation), then the same
+    /// The per-observation quartic minimizer the moment form replaced:
+    /// `Σ wᵢ·(b·v + aᵢ·v² − rᵢ)²` over `v ∈ V_BOUNDS`, its cubic from sums
+    /// over the slices and each candidate's objective evaluated
+    /// observation by observation.
+    fn minimize_quartic_slices(b: f64, a: &[f64], r: &[f64], w: &[f64]) -> f64 {
+        let s = sums_of(a, r, w);
+        let objective = |v: f64| -> f64 {
+            let mut g = 0.0;
+            for i in 0..a.len() {
+                let e = b * v + a[i] * v * v - r[i];
+                g += w[i] * e * e;
+            }
+            g
+        };
+        let mut roots = [0.0; 3];
+        let n = cubic_roots_into(
+            2.0 * s.a2,
+            3.0 * b * s.a,
+            s.w * b * b - 2.0 * s.ar,
+            -b * s.r,
+            &mut roots,
+        );
+        let mut best: Option<(f64, f64)> = None;
+        for v in roots[..n].iter().copied().chain([V_BOUNDS.0, V_BOUNDS.1]) {
+            if v.is_finite() {
+                let clamped = v.clamp(V_BOUNDS.0, V_BOUNDS.1);
+                let g = objective(clamped);
+                if best.is_none_or(|(_, bg)| g < bg) {
+                    best = Some((clamped, g));
+                }
+            }
+        }
+        best.expect("the bounds are candidates").0
+    }
+
+    /// Reference voltage sweeps on per-observation slices, then the same
     /// monotone projection; returns the new `(V̄core, V̄mem)` and leaves
     /// the workspace's voltages as it found them.
     fn slice_voltage_step(
@@ -1863,7 +1896,7 @@ mod tests {
                         (ca * fc, o.watts - (x[8] * vm + ma * fm * vm * vm))
                     })
                     .unzip();
-                vc = minimize_quartic(x[0], &sums_of(&a, &r, &weights));
+                vc = minimize_quartic_slices(x[0], &a, &r, &weights);
                 let (a, r): (Vec<f64>, Vec<f64>) = group
                     .iter()
                     .map(|o| {
@@ -1871,7 +1904,7 @@ mod tests {
                         (ma * fm, o.watts - (x[0] * vc + ca * fc * vc * vc))
                     })
                     .unzip();
-                vm = minimize_quartic(x[8], &sums_of(&a, &r, &weights));
+                vm = minimize_quartic_slices(x[8], &a, &r, &weights);
             }
             ws.vcore[g] = vc;
             ws.vmem[g] = vm;

@@ -1,6 +1,21 @@
-//! Lawson–Hanson non-negative least squares.
+//! Lawson–Hanson non-negative least squares, on a design or on its
+//! Gram form.
 
+use crate::batch::dot;
 use crate::{lstsq_with, LinalgError, LstsqWorkspace, Matrix};
+
+/// The active-set state of one Lawson–Hanson solve: the iterate, the
+/// passive set, the negated gradient, the passive column indices and
+/// the passive-set least-squares solutions.
+#[derive(Debug, Default)]
+struct ActiveSet {
+    x: Vec<f64>,
+    passive: Vec<bool>,
+    w: Vec<f64>,
+    idx: Vec<usize>,
+    z_sub: Vec<f64>,
+    z: Vec<f64>,
+}
 
 /// Reusable scratch for [`nnls_with`].
 ///
@@ -9,12 +24,8 @@ use crate::{lstsq_with, LinalgError, LstsqWorkspace, Matrix};
 /// same-shaped problems perform no heap allocation after the first call.
 #[derive(Debug, Default)]
 pub struct NnlsWorkspace {
-    x: Vec<f64>,
-    passive: Vec<bool>,
-    w: Vec<f64>,
-    idx: Vec<usize>,
+    set: ActiveSet,
     sub: Matrix,
-    z: Vec<f64>,
     lstsq: LstsqWorkspace,
 }
 
@@ -38,8 +49,7 @@ impl NnlsWorkspace {
 /// support is unique. With full column rank the solution is unique, and
 /// so is its support unless a coordinate sits at zero with a zero
 /// gradient (within the solver's tolerances). A start set near the final
-/// one saves most of the active-set steps: the estimator passes the
-/// support of the previous iterate.
+/// one saves most of the active-set steps.
 ///
 /// Returns the solution as a slice borrowed from the workspace; copy it
 /// out before the next solve.
@@ -62,30 +72,64 @@ pub fn nnls_with<'ws>(
             got: format!("length {}", b.len()),
         });
     }
-    if let Some(&j) = start.iter().find(|&&j| j >= n) {
-        return Err(LinalgError::DimensionMismatch {
-            expected: format!("start columns below {n}"),
-            got: format!("column {j}"),
-        });
-    }
+    check_start(start, n)?;
     if !a.is_finite() || b.iter().any(|x| !x.is_finite()) {
         return Err(LinalgError::NotFinite);
     }
+    let NnlsWorkspace { set, sub, lstsq } = ws;
+    let tol = 1e-10 * a.max_abs().max(1.0) * b.iter().fold(1.0f64, |s, v| s.max(v.abs()));
+    lawson_hanson(
+        n,
+        tol,
+        start,
+        set,
+        |x, w| residual_gradient_into(a, b, x, w),
+        |idx, z| {
+            let sol = lstsq_with(passive_cols(a, idx, sub), b, lstsq)?;
+            z.clear();
+            z.extend_from_slice(sol);
+            Ok(())
+        },
+    )
+}
 
-    let NnlsWorkspace {
+/// Rejects a start index that is not one of the `n` columns.
+fn check_start(start: &[usize], n: usize) -> Result<(), LinalgError> {
+    match start.iter().find(|&&j| j >= n) {
+        Some(&j) => Err(LinalgError::DimensionMismatch {
+            expected: format!("start columns below {n}"),
+            got: format!("column {j}"),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The Lawson–Hanson active-set loop over `n` columns, shared by
+/// [`nnls_with`] and [`nnls_gram_with`]: `gradient(x, w)` writes the
+/// negated gradient `Aᵀ(b − Ax)` at `x`, and `solve(idx, z)` the
+/// least-squares solution on the passive columns `idx`, failing with
+/// [`LinalgError::Singular`] when they are linearly dependent. `tol` is
+/// the KKT tolerance on the gradient.
+fn lawson_hanson<'s>(
+    n: usize,
+    tol: f64,
+    start: &[usize],
+    set: &'s mut ActiveSet,
+    mut gradient: impl FnMut(&[f64], &mut Vec<f64>),
+    mut solve: impl FnMut(&[usize], &mut Vec<f64>) -> Result<(), LinalgError>,
+) -> Result<&'s [f64], LinalgError> {
+    let ActiveSet {
         x,
         passive,
         w,
         idx,
-        sub,
+        z_sub,
         z,
-        lstsq: lws,
-    } = ws;
+    } = set;
     x.clear();
     x.resize(n, 0.0);
     passive.clear();
     passive.resize(n, false);
-    let tol = 1e-10 * a.max_abs().max(1.0) * b.iter().fold(1.0f64, |s, v| s.max(v.abs()));
     let positive = tol.min(1e-12);
     let max_outer = 3 * n + 30;
 
@@ -101,18 +145,18 @@ pub fn nnls_with<'ws>(
         if idx.is_empty() {
             break;
         }
-        let Ok(z_sub) = lstsq_with(passive_cols(a, idx, sub), b, lws) else {
+        if solve(idx, z_sub).is_err() {
             // A singular (or wider than tall) subset: start cold.
             passive.fill(false);
             break;
-        };
+        }
         if z_sub.iter().all(|&v| v > positive) {
-            for (&j, &v) in idx.iter().zip(z_sub) {
+            for (&j, &v) in idx.iter().zip(&*z_sub) {
                 x[j] = v;
             }
             break;
         }
-        for (&j, &v) in idx.iter().zip(z_sub) {
+        for (&j, &v) in idx.iter().zip(&*z_sub) {
             if v <= positive {
                 passive[j] = false;
             }
@@ -120,7 +164,7 @@ pub fn nnls_with<'ws>(
     }
 
     for _ in 0..max_outer {
-        residual_gradient_into(a, b, x, w);
+        gradient(x, w);
 
         // Most-improving inactive coordinate.
         let mut best: Option<(usize, f64)> = None;
@@ -141,8 +185,8 @@ pub fn nnls_with<'ws>(
         for _ in 0..max_inner {
             idx.clear();
             idx.extend((0..n).filter(|&j| passive[j]));
-            let z_sub = match lstsq_with(passive_cols(a, idx, sub), b, lws) {
-                Ok(z) => z,
+            match solve(idx, z_sub) {
+                Ok(()) => {}
                 Err(LinalgError::Singular) => {
                     // The newly added column is linearly dependent on the
                     // passive set; drop it and accept the current iterate.
@@ -151,11 +195,11 @@ pub fn nnls_with<'ws>(
                     break;
                 }
                 Err(e) => return Err(e),
-            };
+            }
             z.clear();
             z.resize(n, 0.0);
-            for (k, &j) in idx.iter().enumerate() {
-                z[j] = z_sub[k];
+            for (&j, &v) in idx.iter().zip(&*z_sub) {
+                z[j] = v;
             }
             if idx.iter().all(|&j| z[j] > positive) {
                 std::mem::swap(x, z);
@@ -232,13 +276,8 @@ const GRAM_PIVOT_TOL: f64 = 1e-12;
 /// solves perform no heap allocation after the first call.
 #[derive(Debug, Default)]
 pub struct NnlsGramWorkspace {
-    x: Vec<f64>,
-    passive: Vec<bool>,
-    w: Vec<f64>,
-    idx: Vec<usize>,
+    set: ActiveSet,
     l: Vec<f64>,
-    z_sub: Vec<f64>,
-    z: Vec<f64>,
 }
 
 impl NnlsGramWorkspace {
@@ -294,125 +333,25 @@ pub fn nnls_gram_with<'ws>(
             got: format!("{}x{n} and length {}", gram.rows(), atb.len()),
         });
     }
-    if let Some(&j) = start.iter().find(|&&j| j >= n) {
-        return Err(LinalgError::DimensionMismatch {
-            expected: format!("start columns below {n}"),
-            got: format!("column {j}"),
-        });
-    }
-    if !gram.is_finite() || !a_max.is_finite() || !b_max.is_finite() {
+    check_start(start, n)?;
+    if !gram.is_finite() || atb.iter().any(|x| !x.is_finite()) {
         return Err(LinalgError::NotFinite);
     }
-    if atb.iter().any(|x| !x.is_finite()) {
+    if !a_max.is_finite() || !b_max.is_finite() {
         return Err(LinalgError::NotFinite);
     }
-
-    let NnlsGramWorkspace {
-        x,
-        passive,
-        w,
-        idx,
-        l,
-        z_sub,
-        z,
-    } = ws;
-    x.clear();
-    x.resize(n, 0.0);
-    passive.clear();
-    passive.resize(n, false);
-    let tol = 1e-10 * a_max.max(1.0) * b_max.max(1.0);
-    let positive = tol.min(1e-12);
-    let max_outer = 3 * n + 30;
-
-    for &j in start {
-        passive[j] = true;
-    }
-    loop {
-        idx.clear();
-        idx.extend((0..n).filter(|&j| passive[j]));
-        if idx.is_empty() {
-            break;
-        }
-        if passive_solve(gram, atb, idx, l, z_sub).is_err() {
-            passive.fill(false);
-            break;
-        }
-        if z_sub.iter().all(|&v| v > positive) {
-            for (&j, &v) in idx.iter().zip(&*z_sub) {
-                x[j] = v;
-            }
-            break;
-        }
-        for (&j, &v) in idx.iter().zip(&*z_sub) {
-            if v <= positive {
-                passive[j] = false;
-            }
-        }
-    }
-
-    for _ in 0..max_outer {
-        // w = Aᵀb − AᵀA·x, the negated gradient of ½‖Ax − b‖².
-        w.clear();
-        w.extend((0..n).map(|j| atb[j] - crate::batch::dot(gram.row(j), x)));
-
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..n {
-            if !passive[j] && w[j] > tol && best.is_none_or(|(_, bw)| w[j] > bw) {
-                best = Some((j, w[j]));
-            }
-        }
-        let Some((j_star, _)) = best else {
-            return Ok(x);
-        };
-        passive[j_star] = true;
-
-        let max_inner = 3 * n + 30;
-        let mut inner_ok = false;
-        for _ in 0..max_inner {
-            idx.clear();
-            idx.extend((0..n).filter(|&j| passive[j]));
-            if passive_solve(gram, atb, idx, l, z_sub).is_err() {
-                // The entering column depends linearly on the passive
-                // set; drop it and accept the current iterate.
-                passive[j_star] = false;
-                inner_ok = true;
-                break;
-            }
-            z.clear();
-            z.resize(n, 0.0);
-            for (&j, &v) in idx.iter().zip(&*z_sub) {
-                z[j] = v;
-            }
-            if idx.iter().all(|&j| z[j] > positive) {
-                std::mem::swap(x, z);
-                inner_ok = true;
-                break;
-            }
-            let mut alpha = 1.0f64;
-            for &j in &*idx {
-                if z[j] <= 0.0 && x[j] > z[j] {
-                    alpha = alpha.min(x[j] / (x[j] - z[j]));
-                }
-            }
-            for j in 0..n {
-                x[j] += alpha * (z[j] - x[j]);
-                if passive[j] && x[j] <= positive {
-                    x[j] = 0.0;
-                    passive[j] = false;
-                }
-            }
-        }
-        if !inner_ok {
-            return Err(LinalgError::NoConvergence {
-                routine: "nnls_gram inner loop",
-                iterations: max_inner,
-            });
-        }
-    }
-    Err(LinalgError::NoConvergence {
-        routine: "nnls_gram",
-        iterations: max_outer,
-    })
+    let NnlsGramWorkspace { set, l } = ws;
+    lawson_hanson(
+        n,
+        1e-10 * a_max.max(1.0) * b_max.max(1.0),
+        start,
+        set,
+        |x, w| {
+            w.clear();
+            w.extend((0..n).map(|j| atb[j] - dot(gram.row(j), x)));
+        },
+        |idx, z| passive_solve(gram, atb, idx, l, z),
+    )
 }
 
 /// Solves `G[P, P]·z = h[P]` for the passive columns `P = idx` by
