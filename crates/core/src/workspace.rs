@@ -32,7 +32,7 @@ pub(crate) struct Obs {
 
 /// Weighted moments of one configuration's observations, `w` being each
 /// observation's least-squares weight.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct Moments {
     /// `Σ w·z zᵀ`, row-major and symmetric.
     pub(crate) zz: [f64; NZ * NZ],
@@ -71,7 +71,7 @@ pub(crate) fn build_moments(
     out.clear();
     for g in group_offsets.windows(2) {
         let mut m = Moments::default();
-        for (i, o) in obs.iter().enumerate().take(g[1]).skip(g[0]) {
+        for (i, o) in (g[0]..).zip(&obs[g[0]..g[1]]) {
             let w = weight(i, o);
             let zk = &z[o.sample];
             let sw = w.sqrt();
@@ -113,7 +113,6 @@ pub struct FitWorkspace {
     /// `obs[group_offsets[g]..group_offsets[g + 1]]`, in sample order.
     pub(crate) obs: Vec<Obs>,
     pub(crate) group_offsets: Vec<usize>,
-    pub(crate) group_cursor: Vec<usize>,
     /// Covered configurations, ascending — the same list
     /// `TrainingSet::configs()` yields for the (masked) sample set.
     pub(crate) configs: Vec<FreqConfig>,
@@ -200,38 +199,18 @@ impl FitWorkspace {
         self.configs.sort_unstable();
         self.configs.dedup();
 
-        // Counting sort of the observations into configuration groups,
-        // each in sample order.
-        let ncfg = self.configs.len();
-        self.group_offsets.clear();
-        self.group_offsets.resize(ncfg + 1, 0);
-        for (i, s) in training.samples.iter().enumerate() {
-            if keep_sample(i) {
-                for config in s.power_by_config.keys() {
-                    let g = self.group_index(*config);
-                    self.group_offsets[g + 1] += 1;
-                }
-            }
-        }
-        for g in 0..ncfg {
-            self.group_offsets[g + 1] += self.group_offsets[g];
-        }
+        // The observations grouped by configuration, each group in
+        // sample order.
         self.obs.clear();
-        self.obs.resize_with(self.group_offsets[ncfg], || Obs {
-            sample: 0,
-            watts: 0.0,
-        });
-        self.group_cursor.clear();
-        self.group_cursor
-            .extend_from_slice(&self.group_offsets[..ncfg]);
-        for (i, s) in training.samples.iter().enumerate() {
-            if keep_sample(i) {
-                for (&config, &watts) in &s.power_by_config {
-                    let g = self.group_index(config);
-                    self.obs[self.group_cursor[g]] = Obs { sample: i, watts };
-                    self.group_cursor[g] += 1;
+        self.group_offsets.clear();
+        self.group_offsets.push(0);
+        for config in &self.configs {
+            for (i, s) in training.samples.iter().enumerate() {
+                if let (true, Some(&watts)) = (keep_sample(i), s.power_by_config.get(config)) {
+                    self.obs.push(Obs { sample: i, watts });
                 }
             }
+            self.group_offsets.push(self.obs.len());
         }
 
         // Monotone-projection chains: fixed per fit.
@@ -287,13 +266,6 @@ impl FitWorkspace {
             }
             self.mem_chain_offsets.push(self.mem_chains.len());
         }
-    }
-
-    /// Index of a covered configuration in `configs`.
-    fn group_index(&self, config: FreqConfig) -> usize {
-        self.configs
-            .binary_search(&config)
-            .expect("every observation's config is in the sorted list")
     }
 
     /// Kept-column bookkeeping for degraded-component solves.
