@@ -68,7 +68,7 @@ pub(crate) const NZ: usize = 8;
 /// The `z` entry each design column multiplies: the static and idle
 /// columns of both domains take the constant 1, the six core ω columns
 /// their utilizations, and the memory ω column `u_dram`.
-pub(crate) const ZMAP: [usize; NUM_PARAMS] = [0, 0, 1, 2, 3, 4, 5, 6, 0, 0, 7];
+const ZMAP: [usize; NUM_PARAMS] = [0, 0, 1, 2, 3, 4, 5, 6, 0, 0, 7];
 /// Sane physical bounds for normalized voltages during the search.
 pub(crate) const V_BOUNDS: (f64, f64) = (0.25, 3.0);
 /// Weight that effectively pins the reference voltage at 1 in the
