@@ -1,11 +1,11 @@
 //! A dependency-free parallel execution engine for coarse, independent
 //! work.
 //!
-//! Cross-validation folds, measurement campaigns, ablation sweeps, fleet
-//! node preparation and micro-batched serve replies are embarrassingly
-//! parallel: every item is independent and the output order is fixed by
-//! the input order. [`par_map`] exploits that with a scoped-thread pool
-//! built on [`std::thread::scope`]:
+//! Cross-validation folds, ablation sweeps, fleet node preparation and
+//! micro-batched serve replies are embarrassingly parallel: every item
+//! is independent and the output order is fixed by the input order.
+//! [`par_map`] exploits that with a scoped-thread pool built on
+//! [`std::thread::scope`]:
 //!
 //! - **Deterministic ordering** — `par_map(items, f)[i] == f(&items[i])`
 //!   regardless of thread count or scheduling; workers race only over
@@ -21,7 +21,7 @@
 //!
 //! Work distribution is self-scheduling: workers repeatedly steal the
 //! next unclaimed block of indices from a shared atomic cursor, so a slow
-//! item (one expensive cross-validation fold, one long campaign) never
+//! item (one expensive cross-validation fold, one long ablation) never
 //! idles the rest of the pool behind a static partition. Each worker
 //! buffers `(index, result)` pairs locally and the caller merges them
 //! back into input order after the scope joins, which keeps the whole
@@ -29,7 +29,8 @@
 //!
 //! A pool call spawns its workers afresh, so it pays only for items that
 //! each cost well over a thread spawn. The estimator's per-configuration
-//! voltage solves do not: they run in a plain loop inside the fit.
+//! voltage solves and the profiler's per-kernel utilizations do not: they
+//! run in plain loops.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,43 +74,6 @@ pub fn current_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A worker task panicked inside the pool.
-///
-/// Returned by the fallible entry point, [`try_par_map_indices`]; the
-/// infallible ones re-raise the original payload instead. The pool itself
-/// always drains and joins cleanly, so a panic never hangs the submitting
-/// thread or poisons later calls.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolPanic {
-    message: String,
-}
-
-impl PoolPanic {
-    /// The panic payload rendered as text (`String`/`&str` payloads are
-    /// preserved verbatim; anything else becomes a placeholder).
-    pub fn message(&self) -> &str {
-        &self.message
-    }
-}
-
-impl std::fmt::Display for PoolPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker task panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for PoolPanic {}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// Applies `f` to every item, in parallel, preserving input order in the
 /// output: `par_map(items, f)[i] == f(&items[i])`.
 ///
@@ -146,49 +110,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    match run_pool(threads.max(1), items, f) {
-        Ok(results) => results,
-        Err(payload) => resume_unwind(payload),
-    }
-}
-
-/// Fallible variant of [`par_map_indices`]: a worker panic surfaces as
-/// `Err(PoolPanic)` on the submitting thread instead of unwinding it.
-///
-/// All pool state is per-call, so after an error the pool is fully
-/// drained and subsequent parallel calls behave normally — a panicking
-/// campaign item can never hang or poison the next campaign.
-///
-/// # Errors
-///
-/// Returns [`PoolPanic`] carrying the first worker's panic message.
-pub fn try_par_map_indices<R, F>(n: usize, f: F) -> Result<Vec<R>, PoolPanic>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let indices: Vec<usize> = (0..n).collect();
-    run_pool(current_threads(), &indices, |&i| f(i)).map_err(|payload| PoolPanic {
-        message: panic_message(payload.as_ref()),
-    })
-}
-
-/// The shared pool core: runs the map on up to `threads` workers and
-/// reports the first worker panic as an `Err` payload, leaving re-raise
-/// vs. typed-error policy to the entry points. The sequential fast path
-/// catches panics too, so the fallible entry point behaves identically
-/// at every thread count.
-fn run_pool<T, R, F>(
-    threads: usize,
-    items: &[T],
-    f: F,
-) -> Result<Vec<R>, Box<dyn std::any::Any + Send>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.min(items.len().max(1));
+    let threads = threads.clamp(1, items.len().max(1));
     // Pool telemetry when a recorder is installed. `par.calls` and
     // `par.items` are schedule-independent; threads, block claims,
     // steals and queue depths vary with the thread count and are
@@ -208,12 +130,16 @@ where
             gpm_obs::counter_add("par.steals", 0);
             gpm_obs::histogram_record("par.queue_depth", items.len() as f64);
         }
-        return catch_unwind(AssertUnwindSafe(|| items.iter().map(&f).collect()));
+        return items.iter().map(&f).collect();
     }
-    pooled_map(threads, items, traced, f)
+    match pooled_map(threads, items, traced, f) {
+        Ok(results) => results,
+        Err(payload) => resume_unwind(payload),
+    }
 }
 
-/// The pooled (multi-worker) map core behind [`run_pool`].
+/// The pooled (multi-worker) map core behind [`par_map_with`]: reports
+/// the first worker panic as an `Err` payload for the caller to re-raise.
 fn pooled_map<T, R, F>(
     threads: usize,
     items: &[T],
@@ -367,41 +293,23 @@ mod tests {
 
     #[test]
     fn panics_propagate_with_payload() {
-        let err = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                par_map(&(0..100).collect::<Vec<_>>(), |&i| {
-                    if i == 57 {
-                        panic!("boom at {i}");
-                    }
-                    i
-                })
-            })
-        })
-        .unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "?".into());
-        assert!(msg.contains("boom at 57"), "payload was {msg:?}");
-    }
-
-    #[test]
-    fn try_par_map_indices_surfaces_panics_as_errors() {
         for threads in [1, 4, 8] {
             let err = with_threads(threads, || {
-                try_par_map_indices(100, |i| {
-                    if i == 31 {
-                        panic!("boom at {i}");
-                    }
-                    i * 2
+                std::panic::catch_unwind(|| {
+                    par_map(&(0..100).collect::<Vec<_>>(), |&i| {
+                        if i == 57 {
+                            panic!("boom at {i}");
+                        }
+                        i
+                    })
                 })
             })
             .unwrap_err();
+            let msg = err.downcast_ref::<String>().map_or("?", String::as_str);
             assert!(
-                err.message().contains("boom at 31"),
-                "threads={threads}: {err}"
+                msg.contains("boom at 57"),
+                "threads={threads}: payload was {msg:?}"
             );
-            assert!(err.to_string().contains("worker task panicked"));
         }
     }
 
@@ -410,16 +318,18 @@ mod tests {
         with_threads(4, || {
             let items: Vec<usize> = (0..200).collect();
             // A failing campaign...
-            let err = try_par_map_indices(items.len(), |i| {
-                if i % 7 == 3 {
-                    panic!("injected");
-                }
-                i
+            let err = std::panic::catch_unwind(|| {
+                par_map_indices(items.len(), |i| {
+                    if i % 7 == 3 {
+                        panic!("injected");
+                    }
+                    i
+                })
             });
             assert!(err.is_err());
-            // ...must leave the pool fully usable: both the fallible and
-            // the panicking entry points produce correct results after.
-            let ok = try_par_map_indices(items.len(), |i| i + 1).unwrap();
+            // ...must leave the pool fully usable: later calls produce
+            // correct results.
+            let ok = par_map_indices(items.len(), |i| i + 1);
             assert_eq!(ok, items.iter().map(|&i| i + 1).collect::<Vec<_>>());
             let ok = par_map(&items, |&i| i * 3);
             assert_eq!(ok, items.iter().map(|&i| i * 3).collect::<Vec<_>>());
@@ -427,25 +337,20 @@ mod tests {
     }
 
     #[test]
-    fn try_par_map_indices_matches_sequential_on_success() {
-        let got = with_threads(6, || try_par_map_indices(123, |i| i * i)).unwrap();
-        let seq: Vec<usize> = (0..123).map(|i| i * i).collect();
-        assert_eq!(got, seq);
-    }
-
-    #[test]
-    fn opaque_panic_payloads_get_a_placeholder_message() {
+    fn opaque_panic_payloads_are_reraised_intact() {
         struct Opaque;
         let err = with_threads(2, || {
-            try_par_map_indices(10, |i| {
-                if i == 5 {
-                    std::panic::panic_any(Opaque);
-                }
-                i
+            std::panic::catch_unwind(|| {
+                par_map_indices(10, |i| {
+                    if i == 5 {
+                        std::panic::panic_any(Opaque);
+                    }
+                    i
+                })
             })
         })
         .unwrap_err();
-        assert_eq!(err.message(), "opaque panic payload");
+        assert!(err.downcast_ref::<Opaque>().is_some());
     }
 
     #[test]

@@ -76,9 +76,6 @@ pub enum ProfileError {
     Hardware(SimError),
     /// Event aggregation or dataset assembly failed.
     Model(ModelError),
-    /// A parallel aggregation worker panicked (surfaced, not re-raised,
-    /// so one poisoned item cannot take down a whole campaign driver).
-    WorkerPanic(String),
     /// The resilient campaign could not make progress within its fault
     /// budget (retries exhausted, mismatched checkpoint, ...).
     Campaign(String),
@@ -89,7 +86,6 @@ impl fmt::Display for ProfileError {
         match self {
             ProfileError::Hardware(e) => write!(f, "hardware failure: {e}"),
             ProfileError::Model(e) => write!(f, "profile processing failure: {e}"),
-            ProfileError::WorkerPanic(msg) => write!(f, "aggregation worker panicked: {msg}"),
             ProfileError::Campaign(msg) => write!(f, "campaign failure: {msg}"),
         }
     }
@@ -100,7 +96,7 @@ impl std::error::Error for ProfileError {
         match self {
             ProfileError::Hardware(e) => Some(e),
             ProfileError::Model(e) => Some(e),
-            ProfileError::WorkerPanic(_) | ProfileError::Campaign(_) => None,
+            ProfileError::Campaign(_) => None,
         }
     }
 }
@@ -238,20 +234,17 @@ impl<'g, G: GpuDevice> Profiler<'g, G> {
             s.set_attr("l2_bytes_per_cycle", l2_bpc);
         }
 
-        // Utilizations from the reference events — pure per-kernel
-        // aggregation, computed in parallel in suite order. (The power
-        // measurements below stay sequential: they share one stateful
-        // device, exactly like the paper's single physical GPU.)
-        let mut samples: Vec<MicrobenchSample> = gpm_par::try_par_map_indices(suite.len(), |i| {
-            Ok(MicrobenchSample {
-                name: suite[i].name().to_string(),
-                utilizations: Utilizations::from_events(&spec, &event_sets[i], l2_bpc)?,
+        // Utilizations from the reference events, in suite order: a
+        // microsecond of arithmetic per kernel, cheaper in a plain loop
+        // than across pool workers.
+        let mut samples = Vec::with_capacity(suite.len());
+        for (kernel, events) in suite.iter().zip(&event_sets) {
+            samples.push(MicrobenchSample {
+                name: kernel.name().to_string(),
+                utilizations: Utilizations::from_events(&spec, events, l2_bpc)?,
                 power_by_config: BTreeMap::new(),
-            })
-        })
-        .map_err(|p| ProfileError::WorkerPanic(p.message().to_string()))?
-        .into_iter()
-        .collect::<Result<_, ModelError>>()?;
+            });
+        }
 
         // Median power of every kernel at every configuration.
         for (rank, config) in spec.vf_grid().into_iter().enumerate() {
