@@ -26,8 +26,8 @@ use crate::SimError;
 /// until the run is at least one second long. The sensor model reproduces
 /// this: a measurement window of duration `D` aggregates `⌊D / refresh⌋`
 /// samples, each the true power perturbed by multiplicative Gaussian
-/// noise, and reports their mean in whole milliwatts per sample (see the
-/// module docs for how the mean is drawn).
+/// noise, and reports their mean (see the module docs for how the mean
+/// is drawn and quantized).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerSensor {
     refresh_s: f64,
