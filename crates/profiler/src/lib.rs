@@ -246,7 +246,9 @@ impl<'g, G: GpuDevice> Profiler<'g, G> {
             });
         }
 
-        // Median power of every kernel at every configuration.
+        // Median power of every kernel at every configuration, in order:
+        // the readings share one stateful device, like the paper's single
+        // physical GPU.
         for (rank, config) in spec.vf_grid().into_iter().enumerate() {
             let config_span =
                 gpm_obs::span_under(campaign_span.as_deref(), "profiler.config", rank as u64);

@@ -190,10 +190,9 @@ fn batched_replies_are_bit_identical_at_any_thread_count() {
 /// deliberate, documented protocol change. The three `Pareto` lines
 /// were re-blessed once, when `pareto_frontier` stopped keeping points
 /// that tie an earlier point's runtime at a higher energy (LBM went
-/// from 10 points to 1, SRAD_1 from 8 to 6, GEMM kept 4). Powers move
-/// with the fitted model: when the simulated sensor began drawing each
-/// window's mean in one step, the refit moved every power and SRAD_1
-/// lost `1013@3300`. The `BestConfig` configurations have not moved.
+/// from 10 points to 1, SRAD_1 from 8 to 6, GEMM kept 4). Powers, and
+/// with them Pareto points, move whenever the fitted model does; the
+/// `BestConfig` configurations have not moved.
 #[test]
 fn pareto_and_best_config_replies_match_the_golden_fixture() {
     let model = fitted_model();
