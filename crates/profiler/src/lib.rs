@@ -123,6 +123,8 @@ pub struct Profiler<'g, G: GpuDevice = SimulatedGpu> {
     repeats: u32,
     reference: Option<FreqConfig>,
     l2_bytes_per_cycle: Option<f64>,
+    /// One cell's window readings, cleared per cell.
+    readings: Vec<f64>,
 }
 
 impl<G: GpuDevice> fmt::Debug for Profiler<'_, G> {
@@ -154,6 +156,7 @@ impl<'g, G: GpuDevice> Profiler<'g, G> {
             repeats,
             reference: None,
             l2_bytes_per_cycle: None,
+            readings: Vec::with_capacity(repeats as usize),
         }
     }
 
@@ -407,12 +410,11 @@ impl<'g, G: GpuDevice> Profiler<'g, G> {
     }
 
     fn measure_median(&mut self, kernel: &KernelDesc) -> Result<f64, ProfileError> {
-        let mut readings = Vec::with_capacity(self.repeats as usize);
-        for _ in 0..self.repeats {
-            readings.push(self.gpu.measure_power(kernel)?.watts);
-        }
+        self.readings.clear();
+        self.gpu
+            .measure_power_repeated(kernel, self.repeats, &mut self.readings)?;
         gpm_obs::counter_add("profiler.power_measurements", u64::from(self.repeats));
-        Ok(median(&mut readings))
+        Ok(median(&mut self.readings))
     }
 }
 

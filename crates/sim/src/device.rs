@@ -48,6 +48,27 @@ pub trait GpuDevice {
     /// [`SimError::SensorDropout`], [`SimError::InvalidPowerSample`]).
     fn measure_power(&mut self, kernel: &KernelDesc) -> Result<PowerMeasurement, SimError>;
 
+    /// Appends `n` consecutive window readings of `kernel` at the current
+    /// clocks to `readings`, in watts. The default takes `n`
+    /// [`measure_power`](GpuDevice::measure_power) readings, so a device
+    /// whose faults act per window keeps them; an override must read
+    /// exactly what that loop would.
+    ///
+    /// # Errors
+    ///
+    /// The first window's error; the readings before it stay appended.
+    fn measure_power_repeated(
+        &mut self,
+        kernel: &KernelDesc,
+        n: u32,
+        readings: &mut Vec<f64>,
+    ) -> Result<(), SimError> {
+        for _ in 0..n {
+            readings.push(self.measure_power(kernel)?.watts);
+        }
+        Ok(())
+    }
+
     /// Collects the raw performance-counter events for one launch of
     /// `kernel` at the current clocks.
     ///
@@ -81,6 +102,15 @@ impl GpuDevice for SimulatedGpu {
 
     fn measure_power(&mut self, kernel: &KernelDesc) -> Result<PowerMeasurement, SimError> {
         SimulatedGpu::measure_power(self, kernel)
+    }
+
+    fn measure_power_repeated(
+        &mut self,
+        kernel: &KernelDesc,
+        n: u32,
+        readings: &mut Vec<f64>,
+    ) -> Result<(), SimError> {
+        SimulatedGpu::measure_power_repeated(self, kernel, n, readings)
     }
 
     fn collect_events(&mut self, kernel: &KernelDesc) -> Result<EventRecord, SimError> {

@@ -28,6 +28,17 @@ pub struct PowerMeasurement {
     pub effective_clocks: FreqConfig,
 }
 
+/// What every sensor window of one kernel at one clock setting shares:
+/// the clocks it runs at, the repetitions that fill it, its duration and
+/// the true draw before thermal feedback.
+#[derive(Clone, Copy)]
+struct Window {
+    duration_s: f64,
+    true_watts: f64,
+    repetitions: u32,
+    effective_clocks: FreqConfig,
+}
+
 /// Raw performance events collected for one profiled kernel launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
@@ -226,11 +237,56 @@ impl SimulatedGpu {
     /// Returns [`SimError::WindowTooShort`] only for degenerate sensors
     /// (refresh period above one second).
     pub fn measure_power(&mut self, kernel: &KernelDesc) -> Result<PowerMeasurement, SimError> {
+        let window = self.window(kernel);
+        self.read_window(&window)
+    }
+
+    /// Appends `n` consecutive window readings of `kernel` at the current
+    /// clocks to `readings`, in watts: the same readings, die temperature
+    /// and stream position as `n` calls of
+    /// [`measure_power`](SimulatedGpu::measure_power), with the window's
+    /// clocks, repetitions, execution and true power computed once.
+    ///
+    /// # Errors
+    ///
+    /// As [`measure_power`](SimulatedGpu::measure_power), at the first
+    /// window that fails; the readings before it stay appended.
+    pub fn measure_power_repeated(
+        &mut self,
+        kernel: &KernelDesc,
+        n: u32,
+        readings: &mut Vec<f64>,
+    ) -> Result<(), SimError> {
+        let window = self.window(kernel);
+        for _ in 0..n {
+            readings.push(self.read_window(&window)?.watts);
+        }
+        Ok(())
+    }
+
+    /// The part of a power reading that every window of `kernel` at the
+    /// current clocks shares; it draws nothing and changes no state.
+    fn window(&self, kernel: &KernelDesc) -> Window {
         let effective_clocks = self.effective_clocks_for(kernel);
         let repetitions = self.perf.repetitions_for_window(kernel, 1.0);
         let exec = self.perf.execute(kernel, effective_clocks);
-        let duration_s = exec.duration_s * f64::from(repetitions);
-        let true_watts = self.truth.true_power(effective_clocks, &exec.utilizations);
+        Window {
+            duration_s: exec.duration_s * f64::from(repetitions),
+            true_watts: self.truth.true_power(effective_clocks, &exec.utilizations),
+            repetitions,
+            effective_clocks,
+        }
+    }
+
+    /// Reads one window: advances the die temperature over it, then
+    /// samples the sensor from the measurement stream.
+    fn read_window(&mut self, window: &Window) -> Result<PowerMeasurement, SimError> {
+        let Window {
+            duration_s,
+            true_watts,
+            repetitions,
+            effective_clocks,
+        } = *window;
         // Thermal feedback: the die warms over the window and leakage
         // scales the static share of the draw.
         let true_watts = match &mut self.thermal {
