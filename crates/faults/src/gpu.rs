@@ -373,6 +373,54 @@ mod tests {
     }
 
     #[test]
+    fn repeated_windows_keep_their_per_window_faults() {
+        // A cell's repeats go through the trait's default, which must
+        // read, fail and count exactly as one measure_power per window.
+        let plan = FaultPlan {
+            seed: 21,
+            sensor_dropout: 0.04,
+            sensor_nan: 0.04,
+            sensor_spike: 0.1,
+            spike_magnitude: 4.0,
+            thermal_throttle: 0.1,
+            throttle_burst: 3,
+            ..FaultPlan::default()
+        };
+        let spec = devices::gtx_titan_x(); // many core steps to throttle to
+        let suite = microbenchmark_suite(&spec);
+        let mut repeated = FaultyGpu::new(SimulatedGpu::new(spec, 13), plan);
+        let mut per_window = repeated.clone();
+        let mut errors = 0;
+        for kernel in suite.iter().take(40) {
+            let mut got = Vec::new();
+            let result = repeated.measure_power_repeated(kernel, 10, &mut got);
+            let mut want = Vec::new();
+            let mut want_result = Ok(());
+            for _ in 0..10 {
+                match per_window.measure_power(kernel) {
+                    Ok(m) => want.push(m.watts),
+                    Err(e) => {
+                        want_result = Err(e);
+                        break;
+                    }
+                }
+            }
+            // Debug form: a NaN error is not equal to itself.
+            assert_eq!(format!("{result:?}"), format!("{want_result:?}"));
+            errors += usize::from(result.is_err());
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{}", kernel.name());
+            assert_eq!(repeated.stats(), per_window.stats(), "{}", kernel.name());
+        }
+        let stats = repeated.stats();
+        assert!(
+            errors > 0 && stats.dropouts > 0 && stats.nans > 0,
+            "{stats:?}"
+        );
+        assert!(stats.spikes > 0 && stats.throttled_windows > 0, "{stats:?}");
+    }
+
+    #[test]
     fn fault_placement_is_reproducible_after_reseed() {
         let plan = FaultPlan {
             seed: 9,

@@ -602,3 +602,81 @@ mod tests {
         assert!(exec.utilization(Component::Dram) > 0.8);
     }
 }
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use gpm_spec::devices;
+    use gpm_workloads::{microbenchmark_suite, random_kernel};
+
+    #[test]
+    fn repeated_windows_read_what_per_window_calls_read() {
+        // A cell's window is computed once and read n times; the reads
+        // must match n full measurements bit for bit: every reading, the
+        // die temperature after them and the stream position, which the
+        // next event draw exposes.
+        let specs = devices::all();
+        let suites: Vec<Vec<KernelDesc>> = specs.iter().map(microbenchmark_suite).collect();
+        gpm_check::check("repeated_windows_read_what_per_window_calls_read", |g| {
+            let which = g.usize_in(0..specs.len());
+            let spec = &specs[which];
+            let kernel = if g.bool() {
+                g.choose(&suites[which]).clone()
+            } else {
+                random_kernel(spec, g.u64_any())
+            };
+            let seed = g.u64_any();
+            let mut truth = GroundTruth::for_device(spec, seed);
+            let noiseless = g.bool() && g.bool();
+            if noiseless {
+                truth.sensor_noise_sd = 0.0;
+            }
+            let mut gpu = SimulatedGpu::with_truth(spec.clone(), truth, seed);
+            let capping = g.bool();
+            gpu.set_power_capping(capping);
+            let thermal = g.bool();
+            if thermal {
+                gpu.set_thermal_model(Some(ThermalModel::default()));
+            }
+            gpu.set_clocks(*g.choose(&spec.vf_grid())).unwrap();
+            // Earlier windows warm the die and move the stream.
+            for _ in 0..g.usize_in(0..3) {
+                gpu.measure_power(&kernel).unwrap();
+            }
+            let n = g.u64_in(1..13) as u32;
+            let label = format!(
+                "{} {} n {n}, capping {capping}, thermal {thermal}, noiseless {noiseless}",
+                spec.name(),
+                kernel.name()
+            );
+
+            let mut per_window = gpu.clone();
+            let mut repeated = Vec::new();
+            let result = gpu.measure_power_repeated(&kernel, n, &mut repeated);
+            let mut expected = Vec::new();
+            let mut expected_result = Ok(());
+            for _ in 0..n {
+                match per_window.measure_power(&kernel) {
+                    Ok(m) => expected.push(m.watts),
+                    Err(e) => {
+                        expected_result = Err(e);
+                        break;
+                    }
+                }
+            }
+            assert_eq!(result, expected_result, "{label}");
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&repeated), bits(&expected), "{label}");
+            assert_eq!(
+                gpu.temperature_c().map(f64::to_bits),
+                per_window.temperature_c().map(f64::to_bits),
+                "{label}"
+            );
+            assert_eq!(
+                gpu.collect_events(&kernel),
+                per_window.collect_events(&kernel),
+                "{label}"
+            );
+        });
+    }
+}
