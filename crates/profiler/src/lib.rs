@@ -325,7 +325,7 @@ impl<'g, G: GpuDevice> Profiler<'g, G> {
             self.gpu.set_clocks(config)?;
             grid.insert(config, self.measure_median(kernel)?);
         }
-        self.gpu.set_clocks(spec.default_config())?;
+        self.gpu.set_clocks(self.reference())?;
         Ok(grid)
     }
 
@@ -514,6 +514,20 @@ mod tests {
             assert!(grid.values().all(|&w| w > 20.0 && w < 300.0));
         }
         assert_eq!(gpu.clocks(), FreqConfig::from_mhz(975, 3505));
+    }
+
+    #[test]
+    fn power_grid_restores_a_custom_reference() {
+        let mut gpu = SimulatedGpu::new(devices::tesla_k40c(), 5);
+        let apps = validation_suite(gpu.spec());
+        let custom = FreqConfig::from_mhz(666, 3004);
+        assert_ne!(custom, gpu.spec().default_config());
+        {
+            let mut profiler = Profiler::with_repeats(&mut gpu, 1);
+            profiler.set_reference(custom).unwrap();
+            profiler.measure_power_grid(&apps[0]).unwrap();
+        }
+        assert_eq!(gpu.clocks(), custom);
     }
 
     #[test]
