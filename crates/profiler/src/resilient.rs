@@ -573,6 +573,11 @@ impl<'g, G: GpuDevice> ResilientProfiler<'g, G> {
     /// Measures one (kernel, configuration) cell: deterministic reseed,
     /// verified clocks, quarantine-aware reading collection, MAD spike
     /// rejection, median commit.
+    ///
+    /// Readings are taken one `measure_power` per window, not through
+    /// `measure_power_repeated`: each window's effective clocks are
+    /// checked, and retries, quarantine and fault placement act per
+    /// window.
     fn measure_cell(
         &mut self,
         kernel: &KernelDesc,
