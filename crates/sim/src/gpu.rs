@@ -238,7 +238,7 @@ impl SimulatedGpu {
     /// (refresh period above one second).
     pub fn measure_power(&mut self, kernel: &KernelDesc) -> Result<PowerMeasurement, SimError> {
         let window = self.window(kernel);
-        self.read_window(&window)
+        self.read_window(window)
     }
 
     /// Appends `n` consecutive window readings of `kernel` at the current
@@ -259,7 +259,7 @@ impl SimulatedGpu {
     ) -> Result<(), SimError> {
         let window = self.window(kernel);
         for _ in 0..n {
-            readings.push(self.read_window(&window)?.watts);
+            readings.push(self.read_window(window)?.watts);
         }
         Ok(())
     }
@@ -280,13 +280,13 @@ impl SimulatedGpu {
 
     /// Reads one window: advances the die temperature over it, then
     /// samples the sensor from the measurement stream.
-    fn read_window(&mut self, window: &Window) -> Result<PowerMeasurement, SimError> {
+    fn read_window(&mut self, window: Window) -> Result<PowerMeasurement, SimError> {
         let Window {
             duration_s,
             true_watts,
             repetitions,
             effective_clocks,
-        } = *window;
+        } = window;
         // Thermal feedback: the die warms over the window and leakage
         // scales the static share of the draw.
         let true_watts = match &mut self.thermal {
