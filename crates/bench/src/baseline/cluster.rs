@@ -17,7 +17,7 @@
 //! dependent on a set of fine-tuned parameters, such as the number of
 //! clusters" — which the comparison benches demonstrate.
 
-use crate::{ModelError, TrainingSet, Utilizations};
+use gpm_core::{ModelError, TrainingSet, Utilizations};
 use gpm_json::impl_json;
 use gpm_linalg::{ridge_lstsq, Matrix};
 use gpm_spec::FreqConfig;
@@ -261,7 +261,7 @@ fn kmeans(points: &[[f64; 7]], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MicrobenchSample;
+    use gpm_core::MicrobenchSample;
     use gpm_spec::{devices, Component};
 
     /// Two sharply distinct behaviours: memory-bound kernels whose power

@@ -9,7 +9,7 @@
 //! (Figs. 2 and 6). [`LinearFreqModel`] reimplements that baseline so
 //! the comparison can be reproduced.
 
-use crate::{ModelError, TrainingSet, Utilizations};
+use gpm_core::{ModelError, TrainingSet, Utilizations};
 use gpm_json::impl_json;
 use gpm_linalg::{ridge_lstsq, Matrix};
 use gpm_spec::{Component, FreqConfig, Mhz};
@@ -150,7 +150,7 @@ fn design_row(u: &Utilizations, config: FreqConfig) -> [f64; NUM_PARAMS] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MicrobenchSample;
+    use gpm_core::MicrobenchSample;
     use gpm_spec::devices;
     use std::collections::BTreeMap;
 

@@ -12,7 +12,7 @@
 //!   V-F grid, and predict a new application by nearest-cluster lookup.
 //!
 //! The constant-voltage *ablation* of the paper's own model is available
-//! via [`EstimatorConfig::estimate_voltages`](crate::EstimatorConfig).
+//! via [`EstimatorConfig::estimate_voltages`](gpm_core::EstimatorConfig).
 
 mod cluster;
 mod linear;

@@ -17,39 +17,21 @@
 //! construction is kept as the conformance oracle in the tests), and the
 //! LM solves reuse one QR workspace.
 
-use crate::estimator::{design_row, NUM_PARAMS, V_BOUNDS};
-use crate::{
+use gpm_core::bench_support::{design_row, NUM_PARAMS, V_BOUNDS};
+use gpm_core::{
     DomainParams, FitReport, ModelError, PhaseTimings, PowerModel, TrainingSet, VoltageTable,
 };
 use gpm_linalg::batch::dot_rows_into;
 use gpm_linalg::{isotonic_increasing, ridge_lstsq_with, stats, LstsqWorkspace, Matrix};
 use gpm_spec::{Component, FreqConfig, Mhz};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
-/// Tuning knobs for [`fit_joint`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct JointFitConfig {
-    /// Maximum Levenberg–Marquardt iterations.
-    pub max_iterations: usize,
-    /// Relative SSE improvement below which the fit is converged.
-    pub tolerance: f64,
-    /// Initial damping factor.
-    pub lambda_init: f64,
-    /// Project voltages onto the monotone cone each iteration (Eq. 12).
-    pub enforce_monotonic_voltage: bool,
-}
-
-impl Default for JointFitConfig {
-    fn default() -> Self {
-        JointFitConfig {
-            max_iterations: 40,
-            tolerance: 1e-7,
-            lambda_init: 1e-2,
-            enforce_monotonic_voltage: true,
-        }
-    }
-}
+/// Maximum Levenberg–Marquardt iterations.
+const MAX_ITERATIONS: usize = 40;
+/// Relative SSE improvement below which the fit is converged.
+const TOLERANCE: f64 = 1e-7;
+/// Initial damping factor.
+const LAMBDA_INIT: f64 = 1e-2;
 
 /// Flattened observation for the joint solve.
 struct JointObs {
@@ -135,16 +117,14 @@ fn jacobian_into(
 }
 
 /// Fits the power model by joint damped Gauss–Newton over coefficients
-/// and voltages simultaneously.
+/// and voltages simultaneously, projecting the voltages onto the Eq. 12
+/// monotone cone after every step.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::InsufficientTraining`] for unusable training
 /// sets and propagates numerical failures from the linear solves.
-pub fn fit_joint(
-    training: &TrainingSet,
-    config: &JointFitConfig,
-) -> Result<(PowerModel, FitReport), ModelError> {
+pub fn fit_joint(training: &TrainingSet) -> Result<(PowerModel, FitReport), ModelError> {
     training.validate()?;
     let reference = training.reference;
     let configs = training.configs();
@@ -207,25 +187,17 @@ pub fn fit_joint(
 
     let sse = |r: &[f64]| -> f64 { r.iter().map(|e| e * e).sum() };
 
-    let mut timings = PhaseTimings::default();
-    let joint_span = gpm_obs::span("joint.fit", 0);
-    if let Some(s) = joint_span.as_deref() {
-        s.set_attr("observations", obs.len());
-        s.set_attr("parameters", n_params);
-    }
-    let mut lambda = config.lambda_init;
+    let mut lambda = LAMBDA_INIT;
     residuals_into(&obs, &theta, vc_base, vm_base, &mut panel, &mut r);
     let mut current_sse = sse(&r);
     let mut rmse_history = vec![(current_sse / obs.len() as f64).sqrt()];
     let mut converged = false;
     let mut iterations = 0;
 
-    for iter in 0..config.max_iterations {
+    for iter in 0..MAX_ITERATIONS {
         iterations = iter + 1;
-        let iter_span = gpm_obs::span_under(joint_span.as_deref(), "joint.iteration", iter as u64);
         // Analytical Jacobian, one independent row per observation,
         // assembled into the reused flat buffer.
-        let jacobian_start = Instant::now();
         jacobian_into(
             &obs,
             &theta,
@@ -236,12 +208,10 @@ pub fn fit_joint(
             &mut jac_flat,
         );
         jac.copy_from_flat(obs.len(), n_params, &jac_flat);
-        timings.record("jacobian", jacobian_start.elapsed());
         neg_r.clear();
         neg_r.extend(r.iter().map(|e| -e));
 
         // Damped step, retried with larger damping until SSE improves.
-        let lm_start = Instant::now();
         let mut stepped = false;
         for _ in 0..8 {
             let delta = ridge_lstsq_with(&jac, &neg_r, lambda, &mut lstsq)?;
@@ -253,9 +223,7 @@ pub fn fit_joint(
             for v in candidate[vc_base..].iter_mut() {
                 *v = v.clamp(V_BOUNDS.0, V_BOUNDS.1);
             }
-            if config.enforce_monotonic_voltage {
-                project_joint_monotone(&mut candidate, vc_base, vm_base, &free, reference);
-            }
+            project_joint_monotone(&mut candidate, vc_base, vm_base, &free, reference);
             residuals_into(&obs, &candidate, vc_base, vm_base, &mut panel, &mut cand_r);
             let cand_sse = sse(&cand_r);
             if cand_sse < current_sse {
@@ -266,25 +234,16 @@ pub fn fit_joint(
                 lambda = (lambda / 3.0).max(1e-10);
                 rmse_history.push((current_sse / obs.len() as f64).sqrt());
                 stepped = true;
-                if improvement < config.tolerance {
+                if improvement < TOLERANCE {
                     converged = true;
                 }
                 break;
             }
             lambda *= 4.0;
         }
-        timings.record("lm_step", lm_start.elapsed());
         if !stepped {
             converged = true; // no descent direction left at any damping
         }
-        let iter_rmse = (current_sse / obs.len() as f64).sqrt();
-        if let Some(s) = iter_span.as_deref() {
-            s.set_attr("iteration", iter);
-            s.set_attr("rmse", iter_rmse);
-            s.set_attr("stepped", stepped);
-        }
-        gpm_obs::counter_add("joint.iterations", 1);
-        gpm_obs::histogram_record("joint.rmse", iter_rmse);
         if converged {
             break;
         }
@@ -318,12 +277,6 @@ pub fn fit_joint(
     let meas: Vec<f64> = obs.iter().map(|o| o.watts).collect();
     let training_mape = stats::mape(&pred, &meas)?;
 
-    if let Some(s) = joint_span.as_deref() {
-        s.set_attr("iterations", iterations);
-        s.set_attr("converged", converged);
-        s.set_attr("training_mape", training_mape);
-    }
-
     Ok((
         model,
         FitReport {
@@ -332,7 +285,7 @@ pub fn fit_joint(
             rmse_history,
             training_mape,
             coefficient_sigma: Vec::new(),
-            timings,
+            timings: PhaseTimings::default(),
             robust: false,
             watchdog_restarts: 0,
             robust_reweights: 0,
@@ -409,7 +362,7 @@ fn project_joint_monotone(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Estimator, MicrobenchSample, Utilizations};
+    use gpm_core::{Estimator, MicrobenchSample, Utilizations};
     use gpm_spec::devices;
 
     /// Noise-free synthetic data from an exact Eq. 5-7 model on the
@@ -555,7 +508,7 @@ mod tests {
     #[test]
     fn joint_fit_reaches_a_tight_optimum_on_exact_data() {
         let training = synthetic();
-        let (model, report) = fit_joint(&training, &JointFitConfig::default()).unwrap();
+        let (model, report) = fit_joint(&training).unwrap();
         assert!(
             report.training_mape < 1.0,
             "joint MAPE {}",
@@ -575,7 +528,7 @@ mod tests {
     #[test]
     fn joint_and_alternating_agree_on_exact_data() {
         let training = synthetic();
-        let (joint_model, joint) = fit_joint(&training, &JointFitConfig::default()).unwrap();
+        let (joint_model, joint) = fit_joint(&training).unwrap();
         let (alt_model, alt) = Estimator::new().fit_with_report(&training).unwrap();
         assert!(joint.training_mape < alt.training_mape + 1.0);
         // Both predict a held-out mix consistently.
@@ -596,7 +549,7 @@ mod tests {
         training.samples.truncate(1);
         // 1 sample x 4 configs = 4 observations < 17 parameters.
         assert!(matches!(
-            fit_joint(&training, &JointFitConfig::default()),
+            fit_joint(&training),
             Err(ModelError::InsufficientTraining(_))
         ));
     }

@@ -1,9 +1,16 @@
-//! Shared helpers for the paper-reproduction binaries.
+//! The reproduction of Guerreiro et al. (HPCA 2018) and the timing
+//! harness around the pipeline.
 //!
-//! Every `fig*`/`table*` binary in this crate regenerates one table or
-//! figure of Guerreiro et al. (HPCA 2018) end to end: simulate the GPU,
-//! run the measurement campaign, fit the model, evaluate, and print the
-//! same rows/series the paper reports.
+//! [`repro`] regenerates every table, figure and study of the paper end
+//! to end (simulate the GPU, run the measurement campaign, fit the
+//! model, evaluate) and the `repro` binary prints it. [`baseline`] and
+//! [`joint`] are the models it compares against: the prior work of
+//! Section VI and a joint solve of the paper's estimation problem. The
+//! helpers below serve it, the timing binaries and the cargo benches.
+
+pub mod baseline;
+pub mod joint;
+pub mod repro;
 
 use gpm_core::{
     AccuracyReport, AppProfile, Estimator, EstimatorConfig, FitReport, PowerModel, TrainingSet,
@@ -15,8 +22,8 @@ use gpm_spec::{DeviceSpec, Domain, FreqConfig};
 use gpm_workloads::{microbenchmark_suite, validation_suite};
 use std::collections::BTreeMap;
 
-/// The seed used by all reproduction binaries, so every figure is
-/// generated from the *same* three simulated cards.
+/// The seed of the reproduction, so every figure is generated from the
+/// *same* three simulated cards.
 pub const REPRO_SEED: u64 = 42;
 
 /// A fully fitted device: the simulated card, its training campaign and
@@ -36,7 +43,7 @@ pub struct FittedDevice {
 ///
 /// # Panics
 ///
-/// Panics on any pipeline failure — reproduction binaries treat that as
+/// Panics on any pipeline failure — the reproduction treats that as
 /// fatal.
 pub fn fit_device(spec: DeviceSpec) -> FittedDevice {
     let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED);

@@ -1,8 +1,11 @@
-//! Hooks for `gpm-bench`'s `solvers` bench: the two halves of the
-//! estimator's moment form, timed on a workspace that a fit has
-//! prepared. `#[doc(hidden)]` because they are bench plumbing rather
-//! than API surface.
+//! Hooks for `gpm-bench`: the two halves of the estimator's moment
+//! form, which the `solvers` bench times on a workspace that a fit has
+//! prepared, and the Eq. 6/7 design row with its parameter count and
+//! voltage bounds, which the joint solve of the reproduction shares.
+//! `#[doc(hidden)]` because they are bench plumbing rather than API
+//! surface.
 
+pub use crate::estimator::{design_row, NUM_PARAMS, V_BOUNDS};
 use crate::{Estimator, FitWorkspace, ModelError};
 
 /// Rebuilds the per-configuration moments of `ws`'s observations under

@@ -62,7 +62,7 @@ use gpm_spec::{Component, FreqConfig};
 use std::time::Instant;
 
 /// Number of model coefficients: `[β₀, β₁, ω₁..ω₆, β₂, β₃, ω_mem]`.
-pub(crate) const NUM_PARAMS: usize = 11;
+pub const NUM_PARAMS: usize = 11;
 /// Distinct entries of a kernel's design factor `z = [1, u₁..u₆, u_dram]`.
 pub(crate) const NZ: usize = 8;
 /// The `z` entry each design column multiplies: the static and idle
@@ -70,7 +70,7 @@ pub(crate) const NZ: usize = 8;
 /// their utilizations, and the memory ω column `u_dram`.
 const ZMAP: [usize; NUM_PARAMS] = [0, 0, 1, 2, 3, 4, 5, 6, 0, 0, 7];
 /// Sane physical bounds for normalized voltages during the search.
-pub(crate) const V_BOUNDS: (f64, f64) = (0.25, 3.0);
+pub const V_BOUNDS: (f64, f64) = (0.25, 3.0);
 /// Weight that effectively pins the reference voltage at 1 in the
 /// isotonic projection.
 pub(crate) const PIN_WEIGHT: f64 = 1.0e9;
@@ -1071,7 +1071,7 @@ fn bootstrap_configs(reference: FreqConfig, configs: &[FreqConfig]) -> Vec<FreqC
 }
 
 /// The Eq. 6/7 design row for one observation (frequencies in GHz).
-pub(crate) fn design_row(u: &[f64; 7], config: FreqConfig, vc: f64, vm: f64) -> [f64; NUM_PARAMS] {
+pub fn design_row(u: &[f64; 7], config: FreqConfig, vc: f64, vm: f64) -> [f64; NUM_PARAMS] {
     let fc = config.core.as_f64() / 1000.0;
     let fm = config.mem.as_f64() / 1000.0;
     let mut row = [0.0; NUM_PARAMS];

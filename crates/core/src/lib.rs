@@ -24,9 +24,9 @@
 //!    (Figs. 5B/10), recovered voltage curves (Fig. 6) and TDP-aware
 //!    frequency fallback (Fig. 9), for any V-F configuration, from events
 //!    measured at a *single* reference configuration.
-//! 5. **Baselines** ([`baseline`]) — the linear-in-frequency regression
-//!    model of Abe et al. \[14\] and a constant-voltage ablation of our own
-//!    model, for the accuracy comparisons of Section V.
+//!
+//! The Section VI baselines and a joint solve of the estimation problem,
+//! which only the reproduction compares against, live in `gpm-bench`.
 //!
 //! This crate never touches the simulator: it depends only on
 //! measurements, exactly like the paper's tool.
@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 #[doc(hidden)]
 pub mod bench_support;
 mod breakdown;
@@ -44,7 +43,6 @@ mod dataset;
 mod error;
 mod estimator;
 pub mod events;
-mod joint;
 mod model;
 mod report;
 mod timings;
@@ -57,7 +55,6 @@ pub use crossval::{cross_validate, CvReport};
 pub use dataset::{AppProfile, MicrobenchSample, TrainingSet};
 pub use error::ModelError;
 pub use estimator::{Estimator, EstimatorConfig, FitReport};
-pub use joint::{fit_joint, JointFitConfig};
 pub use model::{DomainParams, PowerModel, VoltageTable};
 pub use report::{AccuracyEntry, AccuracyReport};
 pub use timings::{PhaseTiming, PhaseTimings};

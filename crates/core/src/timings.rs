@@ -1,10 +1,10 @@
 //! Per-phase wall-clock timings of a fit.
 //!
-//! The estimator and the joint solve read an [`std::time::Instant`] at
-//! the start of each phase and [`PhaseTimings::record`] the elapsed time
-//! when it ends. The result travels inside `FitReport::timings` and
-//! renders via `Display` for the CLI's `--timings` flag. Unlike trace
-//! spans, timings are recorded whether or not a recorder is installed.
+//! The estimator reads an [`std::time::Instant`] at the start of each
+//! phase and [`PhaseTimings::record`]s the elapsed time when it ends.
+//! The result travels inside `FitReport::timings` and renders via
+//! `Display` for the CLI's `--timings` flag. Unlike trace spans, timings
+//! are recorded whether or not a recorder is installed.
 
 use gpm_json::impl_json;
 use std::fmt;

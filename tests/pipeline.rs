@@ -1,13 +1,13 @@
 //! End-to-end reproduction tests: the full paper pipeline on every
 //! device, asserting the headline accuracy bands hold.
 
-use gpm::core::baseline::{BaselineFitStrategy, LinearFreqModel};
 use gpm::linalg::stats;
 use gpm::prelude::*;
 use gpm::spec::devices;
+use gpm_bench::baseline::{BaselineFitStrategy, LinearFreqModel};
 
 /// Runs the full pipeline with reduced measurement repeats (keeps CI
-/// fast; the reproduction binaries use the paper's 10).
+/// fast; the reproduction uses the paper's 10).
 fn run_pipeline(spec: &DeviceSpec, seed: u64) -> (SimulatedGpu, TrainingSet, PowerModel) {
     let mut gpu = SimulatedGpu::new(spec.clone(), seed);
     let suite = microbenchmark_suite(spec);
