@@ -150,7 +150,7 @@ pub fn table2(out: &mut String) -> fmt::Result {
     let mut row = |label: &str, f: &dyn Fn(&DeviceSpec) -> String| -> fmt::Result {
         write!(out, "{label:<28}")?;
         for d in &devs {
-            write!(out, "{:>18}", f(d))?;
+            write!(out, "  {:>18}", f(d))?;
         }
         writeln!(out)
     };
@@ -1330,4 +1330,40 @@ pub fn summary(out: &mut String, paper: &Paper) -> fmt::Result {
     writeln!(out, "```")?;
     write!(out, "{}", paper.titan_x().fitted.model.describe())?;
     writeln!(out, "```")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table2_rows_split_into_a_label_and_three_cells() {
+        let mut out = String::new();
+        table2(&mut out).unwrap();
+        // After the heading, each row is a 28-column label, then cells
+        // that runs of at least two spaces separate.
+        let rows: Vec<(&str, Vec<&str>)> = out
+            .lines()
+            .skip(2)
+            .map(|line| {
+                let (label, cells) = line.split_at(28);
+                let cells = cells
+                    .split("  ")
+                    .map(str::trim)
+                    .filter(|c| !c.is_empty())
+                    .collect();
+                (label.trim(), cells)
+            })
+            .collect();
+        assert_eq!(rows.len(), 17);
+        for (label, cells) in &rows {
+            assert_eq!(cells.len(), 3, "{label:?}: {cells:?}");
+        }
+        assert_eq!(rows[0], ("", vec!["Titan Xp", "GTX Titan X", "Tesla K40c"]));
+        let memory = rows
+            .iter()
+            .find(|(label, _)| *label == "Memory frequencies (MHz)")
+            .expect("a memory-frequency row");
+        assert_eq!(memory.1, ["5705/4705", "4005/3505/3300/810", "3004"]);
+    }
 }
