@@ -6,41 +6,14 @@
 
 use crate::{LinalgError, Matrix};
 
-/// Computes the lower-triangular Cholesky factor `L` with `L·Lᵀ = A` for
-/// a symmetric positive-definite matrix.
+/// Writes the lower-triangular Cholesky factor `L` with `L·Lᵀ = A` of a
+/// symmetric positive-definite matrix into `l`. Allocation-free once
+/// `l`'s backing store has grown to `n x n`.
 ///
 /// # Errors
 ///
-/// - [`LinalgError::DimensionMismatch`] if `A` is not square;
-/// - [`LinalgError::NotFinite`] for NaN/infinite entries;
-/// - [`LinalgError::Singular`] if `A` is not positive definite to
-///   working precision.
-///
-/// # Example
-///
-/// ```
-/// use gpm_linalg::{cholesky, Matrix};
-///
-/// let a = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]])?;
-/// let l = cholesky(&a)?;
-/// let reconstructed = l.matmul(&l.transpose())?;
-/// assert!((reconstructed[(0, 1)] - 2.0).abs() < 1e-12);
-/// # Ok::<(), gpm_linalg::LinalgError>(())
-/// ```
-pub fn cholesky(a: &Matrix) -> Result<Matrix, LinalgError> {
-    let mut l = Matrix::zeros(0, 0);
-    cholesky_into(a, &mut l)?;
-    Ok(l)
-}
-
-/// [`cholesky`] writing the factor into a reused output matrix.
-///
-/// Allocation-free once `l`'s backing store has grown to `n x n`.
-///
-/// # Errors
-///
-/// Same conditions as [`cholesky`].
-pub fn cholesky_into(a: &Matrix, l: &mut Matrix) -> Result<(), LinalgError> {
+/// As [`spd_inverse_with`].
+fn cholesky_into(a: &Matrix, l: &mut Matrix) -> Result<(), LinalgError> {
     let n = a.rows();
     if a.cols() != n {
         return Err(LinalgError::DimensionMismatch {
@@ -73,18 +46,6 @@ pub fn cholesky_into(a: &Matrix, l: &mut Matrix) -> Result<(), LinalgError> {
     Ok(())
 }
 
-/// Inverts a symmetric positive-definite matrix via its Cholesky factor.
-///
-/// # Errors
-///
-/// Same conditions as [`cholesky`].
-pub fn spd_inverse(a: &Matrix) -> Result<Matrix, LinalgError> {
-    let mut inv = Matrix::zeros(0, 0);
-    let mut ws = SpdInverseWorkspace::new();
-    spd_inverse_with(a, &mut inv, &mut ws)?;
-    Ok(inv)
-}
-
 /// Reusable scratch for [`spd_inverse_with`]: the Cholesky factor and the
 /// two substitution vectors.
 #[derive(Debug, Default)]
@@ -101,11 +62,15 @@ impl SpdInverseWorkspace {
     }
 }
 
-/// [`spd_inverse`] writing into a reused output matrix and workspace.
+/// Inverts a symmetric positive-definite matrix via its Cholesky factor,
+/// writing into a reused output matrix and workspace.
 ///
 /// # Errors
 ///
-/// Same conditions as [`cholesky`].
+/// - [`LinalgError::DimensionMismatch`] if `A` is not square;
+/// - [`LinalgError::NotFinite`] for NaN/infinite entries;
+/// - [`LinalgError::Singular`] if `A` is not positive definite to
+///   working precision.
 pub fn spd_inverse_with(
     a: &Matrix,
     inv: &mut Matrix,
@@ -169,7 +134,8 @@ mod tests {
     #[test]
     fn factor_reconstructs_the_matrix() {
         let a = spd(5, 7);
-        let l = cholesky(&a).unwrap();
+        let mut l = Matrix::default();
+        cholesky_into(&a, &mut l).unwrap();
         let r = l.matmul(&l.transpose()).unwrap();
         for i in 0..5 {
             for j in 0..5 {
@@ -188,7 +154,8 @@ mod tests {
     #[test]
     fn inverse_times_matrix_is_identity() {
         let a = spd(6, 11);
-        let inv = spd_inverse(&a).unwrap();
+        let mut inv = Matrix::default();
+        spd_inverse_with(&a, &mut inv, &mut SpdInverseWorkspace::new()).unwrap();
         let id = a.matmul(&inv).unwrap();
         for i in 0..6 {
             for j in 0..6 {
@@ -204,43 +171,28 @@ mod tests {
 
     #[test]
     fn rejects_non_spd_inputs() {
+        let mut l = Matrix::default();
         let not_square = Matrix::zeros(2, 3);
-        assert!(cholesky(&not_square).is_err());
+        assert!(cholesky_into(&not_square, &mut l).is_err());
         let indefinite = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap(); // eigenvalues 3, -1
-        assert_eq!(cholesky(&indefinite), Err(LinalgError::Singular));
+        assert_eq!(
+            cholesky_into(&indefinite, &mut l),
+            Err(LinalgError::Singular)
+        );
         let mut nan = Matrix::identity(2);
         nan[(0, 0)] = f64::NAN;
-        assert_eq!(cholesky(&nan), Err(LinalgError::NotFinite));
+        assert_eq!(cholesky_into(&nan, &mut l), Err(LinalgError::NotFinite));
     }
 
     #[test]
     fn identity_is_its_own_factor_and_inverse() {
         let id = Matrix::identity(4);
-        assert_eq!(cholesky(&id).unwrap(), id);
-        assert_eq!(spd_inverse(&id).unwrap(), id);
-    }
-
-    #[test]
-    fn into_variants_match_allocating_versions() {
-        let mut l = Matrix::zeros(0, 0);
-        let mut inv = Matrix::zeros(0, 0);
-        let mut ws = SpdInverseWorkspace::new();
-        for seed in [3u64, 9, 21] {
-            let a = spd(5, seed);
-            cholesky_into(&a, &mut l).unwrap();
-            assert_eq!(l, cholesky(&a).unwrap());
-            spd_inverse_with(&a, &mut inv, &mut ws).unwrap();
-            assert_eq!(inv, spd_inverse(&a).unwrap());
-        }
-        // Error paths leave the reused buffers usable.
-        let indefinite = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 1.0]]).unwrap();
-        assert_eq!(
-            cholesky_into(&indefinite, &mut l),
-            Err(LinalgError::Singular)
-        );
-        let a = spd(3, 1);
-        spd_inverse_with(&a, &mut inv, &mut ws).unwrap();
-        assert_eq!(inv, spd_inverse(&a).unwrap());
+        let mut l = Matrix::default();
+        cholesky_into(&id, &mut l).unwrap();
+        assert_eq!(l, id);
+        let mut inv = Matrix::default();
+        spd_inverse_with(&id, &mut inv, &mut SpdInverseWorkspace::new()).unwrap();
+        assert_eq!(inv, id);
     }
 
     mod prop {
@@ -252,7 +204,8 @@ mod tests {
                 let seed = g.u64_in(0..200);
                 let n = g.usize_in(2..8);
                 let a = spd(n, seed);
-                let l = cholesky(&a).unwrap();
+                let mut l = Matrix::default();
+                cholesky_into(&a, &mut l).unwrap();
                 let r = l.matmul(&l.transpose()).unwrap();
                 for i in 0..n {
                     for j in 0..n {

@@ -121,23 +121,6 @@ pub fn isotonic_increasing_into(
     }
 }
 
-/// Weighted isotonic regression with a non-increasing constraint.
-///
-/// Mirrors [`isotonic_increasing`]; used when a sequence is indexed by
-/// *descending* frequency (driver table order) but the voltage constraint
-/// is ascending in frequency.
-///
-/// # Panics
-///
-/// Same conditions as [`isotonic_increasing`].
-pub fn isotonic_decreasing(y: &[f64], w: &[f64]) -> Vec<f64> {
-    let yr: Vec<f64> = y.iter().rev().copied().collect();
-    let wr: Vec<f64> = w.iter().rev().copied().collect();
-    let mut fit = isotonic_increasing(&yr, &wr);
-    fit.reverse();
-    fit
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,19 +187,6 @@ mod tests {
             isotonic_increasing_into(y, &w, &mut ws, &mut out);
             assert_eq!(out, isotonic_increasing(y, &w));
         }
-    }
-
-    #[test]
-    fn decreasing_is_mirror() {
-        let y = [1.0, 3.0, 2.0, 0.5];
-        let w = [1.0; 4];
-        let dec = isotonic_decreasing(&y, &w);
-        assert!(dec.windows(2).all(|p| p[0] >= p[1] - 1e-12));
-        let rev_inc: Vec<f64> = {
-            let yr: Vec<f64> = y.iter().rev().copied().collect();
-            isotonic_increasing(&yr, &w).into_iter().rev().collect()
-        };
-        assert_eq!(dec, rev_inc);
     }
 
     #[test]

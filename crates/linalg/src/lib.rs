@@ -46,12 +46,10 @@ mod qr;
 pub mod stats;
 
 pub use batch::{dot, PanelModel, VfPoint};
-pub use cholesky::{cholesky, cholesky_into, spd_inverse, spd_inverse_with, SpdInverseWorkspace};
+pub use cholesky::{spd_inverse_with, SpdInverseWorkspace};
 pub use cubic::{cubic_roots, cubic_roots_into, quadratic_roots, quadratic_roots_into};
 pub use error::LinalgError;
-pub use isotonic::{
-    isotonic_decreasing, isotonic_increasing, isotonic_increasing_into, IsotonicWorkspace,
-};
+pub use isotonic::{isotonic_increasing, isotonic_increasing_into, IsotonicWorkspace};
 pub use matrix::Matrix;
 pub use nnls::{nnls, nnls_gram_with, nnls_with, NnlsGramWorkspace, NnlsWorkspace};
 pub use qr::{lstsq, lstsq_with, ridge_lstsq, ridge_lstsq_with, LstsqWorkspace};

@@ -160,37 +160,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product `self * other` into a caller-owned matrix, which is
-    /// reshaped to `rows() x other.cols()` — the allocation-free variant
-    /// of [`Matrix::matmul`], bit-identical entry for entry (same loop
-    /// nest, same accumulation order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if inner dimensions differ.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), LinalgError> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("{}x_", self.cols),
-                got: format!("{}x{}", other.rows, other.cols),
-            });
-        }
-        out.reshape(self.rows, other.cols);
-        out.as_mut_slice().fill(0.0);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Matrix-vector product `self * v`.
     ///
     /// # Errors
@@ -300,35 +269,6 @@ impl Matrix {
             }
         }
     }
-
-    /// [`Matrix::transpose`] writing into a reused output matrix.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        out.reshape(self.cols, self.rows);
-        for i in 0..self.cols {
-            for j in 0..self.rows {
-                out.data[i * self.rows + j] = self[(j, i)];
-            }
-        }
-    }
-
-    /// [`Matrix::mat_vec`] writing into a reused output vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `v.len() != cols()`.
-    pub fn mat_vec_into(&self, v: &[f64], out: &mut Vec<f64>) -> Result<(), LinalgError> {
-        if v.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("vector of length {}", self.cols),
-                got: format!("length {}", v.len()),
-            });
-        }
-        out.clear();
-        for i in 0..self.rows {
-            out.push(self.row(i).iter().zip(v).map(|(a, b)| a * b).sum());
-        }
-        Ok(())
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -405,23 +345,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn matmul_into_matches_matmul_and_reuses_storage() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![0.0, -1.5]]).unwrap();
-        let b = Matrix::from_rows(&[vec![5.0, 6.0, 0.0], vec![7.0, 8.0, -2.0]]).unwrap();
-        let mut out = Matrix::zeros(1, 1);
-        a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
-        // Stale contents from a previous, larger product must not leak.
-        let small = Matrix::from_rows(&[vec![2.0]]).unwrap();
-        small.matmul_into(&small, &mut out).unwrap();
-        assert_eq!(out, Matrix::from_rows(&[vec![4.0]]).unwrap());
-        // Same dimension check as `matmul`.
-        assert!(Matrix::zeros(2, 3)
-            .matmul_into(&Matrix::zeros(2, 3), &mut out)
-            .is_err());
     }
 
     #[test]
@@ -511,13 +434,5 @@ mod tests {
         let mut sel = Matrix::zeros(1, 1);
         a.select_cols_into(&[3, 1], &mut sel);
         assert_eq!(sel, a.select_cols(&[3, 1]));
-        let mut t = Matrix::zeros(1, 1);
-        a.transpose_into(&mut t);
-        assert_eq!(t, a.transpose());
-        let v = vec![1.0, -2.0, 0.5, 3.0];
-        let mut out = Vec::new();
-        a.mat_vec_into(&v, &mut out).unwrap();
-        assert_eq!(out, a.mat_vec(&v).unwrap());
-        assert!(a.mat_vec_into(&[1.0], &mut out).is_err());
     }
 }

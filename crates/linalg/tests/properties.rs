@@ -3,7 +3,7 @@
 //! `GPM_CHECK_SEED=...` replay command; see the gpm-check docs.
 
 use gpm_check::check;
-use gpm_linalg::{isotonic_decreasing, isotonic_increasing, nnls, Matrix};
+use gpm_linalg::{isotonic_increasing, nnls, Matrix};
 
 /// Pool-adjacent-violators output must be non-decreasing, match the
 /// input length, and stay within the input's value range (it is a
@@ -28,28 +28,6 @@ fn isotonic_regression_output_is_monotone() {
         let hi = y.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         for &v in &fit {
             assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "{v} outside [{lo}, {hi}]");
-        }
-    });
-}
-
-/// The decreasing variant is the mirror image: non-increasing output
-/// that agrees with reversing the increasing fit of the reversed input.
-#[test]
-fn isotonic_decreasing_mirrors_the_increasing_fit() {
-    check("isotonic_decreasing_mirrors_the_increasing_fit", |g| {
-        let n = g.usize_in(1..16);
-        let y = g.vec_f64(n..n + 1, -50.0, 50.0);
-        let w: Vec<f64> = (0..n).map(|_| g.f64_in(0.1, 5.0)).collect();
-        let fit = isotonic_decreasing(&y, &w);
-        for pair in fit.windows(2) {
-            assert!(pair[0] >= pair[1] - 1e-9, "increasing step in {fit:?}");
-        }
-        let rev_y: Vec<f64> = y.iter().rev().cloned().collect();
-        let rev_w: Vec<f64> = w.iter().rev().cloned().collect();
-        let mut mirrored = isotonic_increasing(&rev_y, &rev_w);
-        mirrored.reverse();
-        for (a, b) in fit.iter().zip(&mirrored) {
-            assert!((a - b).abs() < 1e-9, "{fit:?} vs mirrored {mirrored:?}");
         }
     });
 }
