@@ -1,8 +1,10 @@
 //! Prints the reproduction report of Guerreiro et al. (HPCA 2018): every
 //! table, figure and study that `gpm_bench::repro` regenerates, in paper
-//! order. It reads no argument or environment variable, and its bytes
-//! depend only on the code; `REPRO.txt` at the repository root is its
-//! committed output, which CI compares with a fresh run.
+//! order. It takes no argument and reads no environment variable of its
+//! own (the pool under its cross-validation honours `GPM_THREADS`, which
+//! changes no byte), so its output depends only on the code. `REPRO.txt`
+//! at the repository root is its committed output, which CI compares
+//! with a fresh run.
 //!
 //! Usage: `cargo run --release -p gpm-bench --bin repro > REPRO.txt`
 

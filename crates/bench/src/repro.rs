@@ -11,7 +11,8 @@
 //! and 10, the extended-device check, sibling cards, thermal drift and
 //! the reference-placement ablation) measure on a fresh device, so that
 //! no section's readings depend on another's. Nothing here reads a clock
-//! or the environment: the report's bytes depend only on the code.
+//! or the environment, and the pool under `cross_validate` gives the
+//! same bytes at any thread count: the report depends only on the code.
 
 use crate::baseline::{BaselineFitStrategy, LinearFreqModel, ScalingClusterModel};
 use crate::joint::fit_joint;
