@@ -5,7 +5,7 @@
 //! Each section writes its text into the buffer its caller passes.
 //! [`report`] runs them all; the `repro` binary prints the result and
 //! `REPRO.txt` at the repository root is its committed output. Sections
-//! that score the fitted model share one [`Paper`]: the three paper GPUs,
+//! that score the fitted model share one `Paper`: the three paper GPUs,
 //! each fitted once at [`REPRO_SEED`] with its validation data, which no
 //! section mutates. Sections that take readings of their own (Figs. 2, 9
 //! and 10, the extended-device check, sibling cards, thermal drift and
@@ -33,28 +33,23 @@ use std::fmt::{self, Write};
 
 /// One paper GPU: fitted at [`REPRO_SEED`], with the validation suite
 /// measured on a fresh card at the default reference.
-pub struct PaperGpu {
-    /// The device.
-    pub spec: DeviceSpec,
+struct PaperGpu {
+    spec: DeviceSpec,
     /// The fitted device ([`fit_device`]).
-    pub fitted: FittedDevice,
+    fitted: FittedDevice,
     /// Its validation data ([`collect_validation`]).
-    pub validation: ValidationData,
+    validation: ValidationData,
 }
 
 /// The three paper GPUs that the sections share.
-pub struct Paper {
+struct Paper {
     /// Titan Xp, GTX Titan X and Tesla K40c, in [`devices::all`] order.
-    pub gpus: Vec<PaperGpu>,
+    gpus: Vec<PaperGpu>,
 }
 
 impl Paper {
     /// Fits each paper GPU and collects its validation data.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any pipeline failure.
-    pub fn fit() -> Self {
+    fn fit() -> Self {
         let gpus = devices::all()
             .into_iter()
             .map(|spec| PaperGpu {
@@ -119,11 +114,7 @@ fn heading(out: &mut String, title: &str) -> fmt::Result {
 
 /// Table I: performance events required to compute the model metrics,
 /// per device.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn table1(out: &mut String) -> fmt::Result {
+fn table1(out: &mut String) -> fmt::Result {
     heading(out, "Table I: Performance events per metric and device")?;
     for dev in devices::all() {
         writeln!(out, "\n--- {} ({}) ---", dev.name(), dev.architecture())?;
@@ -141,11 +132,7 @@ pub fn table1(out: &mut String) -> fmt::Result {
 }
 
 /// Table II: summarized description of the used GPUs.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn table2(out: &mut String) -> fmt::Result {
+fn table2(out: &mut String) -> fmt::Result {
     heading(out, "Table II: Summarized description of the used GPUs")?;
     let devs = devices::all();
     let mut row = |label: &str, f: &dyn Fn(&DeviceSpec) -> String| -> fmt::Result {
@@ -228,11 +215,7 @@ const SUITES: [(&str, &[&str]); 4] = [
 
 /// Table III: the standard benchmarks that validate the model, with their
 /// dominant components as executed on the GTX Titan X.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn table3(out: &mut String) -> fmt::Result {
+fn table3(out: &mut String) -> fmt::Result {
     heading(
         out,
         "Table III: Standard benchmarks used to validate the power model",
@@ -277,11 +260,7 @@ pub fn table3(out: &mut String) -> fmt::Result {
 ///
 /// Paper: BlackScholes 181 W at the default configuration, 52% lower
 /// (87 W) at the low memory level; CUTCP 135 W, only 24% lower (102 W).
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn fig2(out: &mut String) -> fmt::Result {
+fn fig2(out: &mut String) -> fmt::Result {
     let spec = devices::gtx_titan_x();
     let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED);
     let apps = validation_suite(&spec);
@@ -357,11 +336,7 @@ pub fn fig2(out: &mut String) -> fmt::Result {
 ///
 /// Paper: the constant part is ~84 W and the largest dynamic share ~49%,
 /// in one of the MIX microbenchmarks.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn fig5(out: &mut String, paper: &Paper) -> fmt::Result {
+fn fig5(out: &mut String, paper: &Paper) -> fmt::Result {
     let fitted = &paper.titan_x().fitted;
     let reference = fitted.training.reference;
 
@@ -456,11 +431,7 @@ pub fn fig5(out: &mut String, paper: &Paper) -> fmt::Result {
 ///
 /// Paper: a flat region at low frequencies, then a linear rise, and the
 /// model finds the breaking point between them.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn fig6(out: &mut String, paper: &Paper) -> fmt::Result {
+fn fig6(out: &mut String, paper: &Paper) -> fmt::Result {
     for gpu in [paper.titan_x(), paper.gpu("Titan Xp")] {
         let (spec, fitted) = (&gpu.spec, &gpu.fitted);
         let reference = spec.default_config();
@@ -508,11 +479,7 @@ pub fn fig6(out: &mut String, paper: &Paper) -> fmt::Result {
 ///
 /// Paper: mean absolute errors of 6.9% (Titan Xp), 6.0% (GTX Titan X)
 /// and 12.4% (Tesla K40c).
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn fig7(out: &mut String, paper: &Paper) -> fmt::Result {
+fn fig7(out: &mut String, paper: &Paper) -> fmt::Result {
     heading(
         out,
         "Figure 7: power prediction for all V-F configurations (validation set)",
@@ -567,11 +534,7 @@ pub fn fig7(out: &mut String, paper: &Paper) -> fmt::Result {
 /// Paper: 5.4% (4005 MHz), 4.8% (3505 MHz, the reference level), 5.1%
 /// (3300 MHz) and 8.7% (810 MHz), 6.0% overall: the error grows at the
 /// memory level furthest from the reference.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn fig8(out: &mut String, paper: &Paper) -> fmt::Result {
+fn fig8(out: &mut String, paper: &Paper) -> fmt::Result {
     let gpu = paper.titan_x();
     let (spec, fitted, data) = (&gpu.spec, &gpu.fitted, &gpu.validation);
 
@@ -631,11 +594,7 @@ pub fn fig8(out: &mut String, paper: &Paper) -> fmt::Result {
 /// the power; the model tracks the rise at 6.8% average error; at
 /// 1164 MHz the 4096² prediction exceeds TDP, so the closest level under
 /// it (1126 MHz) is used.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn fig9(out: &mut String, paper: &Paper) -> fmt::Result {
+fn fig9(out: &mut String, paper: &Paper) -> fmt::Result {
     let gpu = paper.titan_x();
     let (spec, fitted) = (&gpu.spec, &gpu.fitted);
     let mut card = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
@@ -746,11 +705,7 @@ pub fn fig9(out: &mut String, paper: &Paper) -> fmt::Result {
 /// Paper: 5.2% error at the high memory level and 8.8% at the low one;
 /// the constant part is ~80 W and ~50 W; the DRAM component shrinks
 /// sharply at the low memory level while the others barely move.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn fig10(out: &mut String, paper: &Paper) -> fmt::Result {
+fn fig10(out: &mut String, paper: &Paper) -> fmt::Result {
     let gpu = paper.titan_x();
     let (spec, fitted) = (&gpu.spec, &gpu.fitted);
     let mut card = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
@@ -836,11 +791,7 @@ pub fn fig10(out: &mut String, paper: &Paper) -> fmt::Result {
 /// Paper: Abe et al. reported 15 / 14 / 23.5% on their Tesla / Fermi /
 /// Kepler GPUs, against the model's 6.9 / 6.0 / 12.4%; the voltage-aware
 /// model should win on every device.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn baselines(out: &mut String, paper: &Paper) -> fmt::Result {
+fn baselines(out: &mut String, paper: &Paper) -> fmt::Result {
     heading(
         out,
         "Model vs linear-frequency baseline (Abe et al. [14] style)",
@@ -885,11 +836,7 @@ pub fn baselines(out: &mut String, paper: &Paper) -> fmt::Result {
 /// validation applications measured on the training card after its
 /// campaign, the 3 x 3 linear baseline, and the fitted core voltage's
 /// mean relative error against the hidden truth.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn extended_devices(out: &mut String) -> fmt::Result {
+fn extended_devices(out: &mut String) -> fmt::Result {
     heading(
         out,
         "Extended devices: validation and voltage error on every device class",
@@ -945,11 +892,7 @@ pub fn extended_devices(out: &mut String) -> fmt::Result {
 /// cross-validation on the GTX Titan X's training card, then its model
 /// applied to sibling cards, each a fresh card whose seed gives it a
 /// ±3% physics jitter.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn sibling_cards(out: &mut String, paper: &Paper) -> fmt::Result {
+fn sibling_cards(out: &mut String, paper: &Paper) -> fmt::Result {
     let gpu = paper.titan_x();
     let (spec, fitted) = (&gpu.spec, &gpu.fitted);
 
@@ -1034,11 +977,7 @@ fn thermal_validation_mape(spec: &DeviceSpec, model: &PowerModel, thermal: bool)
 /// model on or off, so that leakage drifts as the card warms. The warm
 /// model is trained on a fresh card at [`REPRO_SEED`]; the cold one is
 /// the shared fit.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn thermal_drift(out: &mut String, paper: &Paper) -> fmt::Result {
+fn thermal_drift(out: &mut String, paper: &Paper) -> fmt::Result {
     let gpu = paper.titan_x();
     let spec = &gpu.spec;
     heading(
@@ -1095,11 +1034,7 @@ fn fit_variant(training: &TrainingSet, config: EstimatorConfig) -> PowerModel {
 ///    refits at other references, each campaign on a fresh card;
 /// 6. the absolute vs. relative error objective;
 /// 7. the alternating heuristic vs. the joint Levenberg–Marquardt solve.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn ablations(out: &mut String, paper: &Paper) -> fmt::Result {
+fn ablations(out: &mut String, paper: &Paper) -> fmt::Result {
     let gpu = paper.titan_x();
     let (spec, fitted, data) = (&gpu.spec, &gpu.fitted, &gpu.validation);
     let default_mape = validation_mape(&fitted.model, data);
@@ -1291,11 +1226,7 @@ pub fn ablations(out: &mut String, paper: &Paper) -> fmt::Result {
 /// The closing summary: per paper GPU, the fit's iterations and training
 /// MAPE beside the validation MAPE, R² and worst application, then the
 /// GTX Titan X's fitted model.
-///
-/// # Errors
-///
-/// Only if writing into `out` fails.
-pub fn summary(out: &mut String, paper: &Paper) -> fmt::Result {
+fn summary(out: &mut String, paper: &Paper) -> fmt::Result {
     heading(out, "Summary: headline accuracy (Fig. 7)")?;
     writeln!(
         out,
