@@ -23,7 +23,8 @@
 //! - [`profiler`] — measurement orchestration over V-F grids
 //! - [`core`] — the DVFS-aware power model: utilizations (Eqs. 8-10), the
 //!   iterative estimator (Section III-D), prediction and per-component
-//!   power breakdown, plus baseline models for comparison
+//!   power breakdown (the baselines it is compared against live in the
+//!   `gpm-bench` reproduction)
 //! - [`dvfs`] — an online DVFS governor on top of the fitted model (the
 //!   paper's future-work direction)
 //! - [`obs`] — structured observability: metrics registry, hierarchical
