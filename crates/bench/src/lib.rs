@@ -12,15 +12,12 @@ pub mod baseline;
 pub mod joint;
 pub mod repro;
 
-use gpm_core::{
-    AccuracyReport, AppProfile, Estimator, EstimatorConfig, FitReport, PowerModel, TrainingSet,
-};
+use gpm_core::{AppProfile, Estimator, EstimatorConfig, FitReport, PowerModel, TrainingSet};
 use gpm_json::impl_json;
 use gpm_profiler::Profiler;
 use gpm_sim::SimulatedGpu;
-use gpm_spec::{DeviceSpec, Domain, FreqConfig};
+use gpm_spec::{DeviceSpec, Domain};
 use gpm_workloads::{microbenchmark_suite, validation_suite};
-use std::collections::BTreeMap;
 
 /// The seed of the reproduction, so every figure is generated from the
 /// *same* three simulated cards.
@@ -60,91 +57,6 @@ pub fn fit_device(spec: DeviceSpec) -> FittedDevice {
         model,
         report,
     }
-}
-
-/// Validation measurements of one device: each unseen application of the
-/// validation suite, profiled at the reference configuration and
-/// measured over the whole V-F grid. Index `i` of every field belongs
-/// to the same application, in suite order.
-pub struct ValidationData {
-    /// Application names.
-    pub names: Vec<String>,
-    /// Reference profiles (the utilizations a prediction takes).
-    pub profiles: Vec<AppProfile>,
-    /// Measured power in watts at every configuration.
-    pub grids: Vec<BTreeMap<FreqConfig, f64>>,
-}
-
-impl ValidationData {
-    /// Scores `predict` (watts for an application's reference profile at
-    /// a configuration) against every measurement, labelled by
-    /// application, in application then configuration order.
-    pub fn report(
-        &self,
-        mut predict: impl FnMut(&AppProfile, FreqConfig) -> f64,
-    ) -> AccuracyReport {
-        let mut report = AccuracyReport::new();
-        for ((name, profile), grid) in self.names.iter().zip(&self.profiles).zip(&self.grids) {
-            for (&config, &watts) in grid {
-                report.add(name.as_str(), config, predict(profile, config), watts);
-            }
-        }
-        report
-    }
-}
-
-/// Measures the validation suite on a fresh instance of `spec`'s card:
-/// seed `REPRO_SEED + 1000`, so its measurement noise is independent of
-/// the training campaign's. Profiles are taken at `reference`, which
-/// must be the reference of the model they feed (usually
-/// `spec.default_config()`).
-///
-/// # Panics
-///
-/// Panics if `reference` is off the device's grid, or on any profiling
-/// failure.
-pub fn collect_validation(spec: &DeviceSpec, reference: FreqConfig) -> ValidationData {
-    let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
-    let mut profiler = Profiler::new(&mut gpu);
-    profiler
-        .set_reference(reference)
-        .expect("validation reference is on the device grid");
-    let mut data = ValidationData {
-        names: Vec::new(),
-        profiles: Vec::new(),
-        grids: Vec::new(),
-    };
-    for app in validation_suite(spec) {
-        data.names.push(app.name().to_string());
-        data.profiles.push(
-            profiler
-                .profile_at_reference(&app)
-                .expect("validation profile succeeds"),
-        );
-        data.grids.push(
-            profiler
-                .measure_power_grid(&app)
-                .expect("validation grid measurement succeeds"),
-        );
-    }
-    data
-}
-
-/// Validation MAPE (%) of `model` over every application and
-/// configuration of `data`.
-///
-/// # Panics
-///
-/// Panics if `data` is empty or holds a configuration off the model's
-/// grid.
-pub fn validation_mape(model: &PowerModel, data: &ValidationData) -> f64 {
-    data.report(|profile, config| {
-        model
-            .predict(&profile.utilizations, config)
-            .expect("validation configurations are on the fitted grid")
-    })
-    .mape()
-    .expect("validation set is not empty")
 }
 
 /// Iteration budgets of [`fit_truth_study`]: below, at and above the
@@ -262,23 +174,6 @@ pub fn fit_truth_study(slugs: &[&str], budgets: &[usize]) -> Vec<TruthRow> {
     rows
 }
 
-/// Renders a horizontal ASCII bar of `value` against `max`, `width`
-/// characters wide.
-pub fn bar(value: f64, max: f64, width: usize) -> String {
-    let filled = if max > 0.0 {
-        ((value / max) * width as f64)
-            .round()
-            .clamp(0.0, width as f64) as usize
-    } else {
-        0
-    };
-    let mut s = String::with_capacity(width);
-    for i in 0..width {
-        s.push(if i < filled { '#' } else { '.' });
-    }
-    s
-}
-
 /// Prints a section heading in a consistent style.
 pub fn heading(title: &str) {
     println!("\n=== {title} ===");
@@ -347,14 +242,6 @@ pub mod harness {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bar_scales_and_clamps() {
-        assert_eq!(bar(0.0, 1.0, 4), "....");
-        assert_eq!(bar(0.5, 1.0, 4), "##..");
-        assert_eq!(bar(2.0, 1.0, 4), "####");
-        assert_eq!(bar(1.0, 0.0, 3), "...");
-    }
 
     #[test]
     fn truth_study_scores_each_budget_against_ground_truth() {

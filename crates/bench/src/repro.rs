@@ -16,12 +16,10 @@
 
 use crate::baseline::{BaselineFitStrategy, LinearFreqModel, ScalingClusterModel};
 use crate::joint::fit_joint;
-use crate::{
-    bar, collect_validation, fit_device, validation_mape, FittedDevice, ValidationData, REPRO_SEED,
-};
+use crate::{fit_device, FittedDevice, REPRO_SEED};
 use gpm_core::{
-    cross_validate, AccuracyReport, Estimator, EstimatorConfig, PowerModel, TrainingSet,
-    Utilizations,
+    cross_validate, AccuracyReport, AppProfile, Estimator, EstimatorConfig, PowerModel,
+    TrainingSet, Utilizations,
 };
 use gpm_linalg::stats;
 use gpm_profiler::Profiler;
@@ -31,6 +29,104 @@ use gpm_workloads::{gemm, microbenchmark_suite, power_virus, validation_suite, K
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
 
+/// Validation measurements of one device: each unseen application of the
+/// validation suite, profiled at the reference configuration and
+/// measured over the whole V-F grid. Index `i` of every field belongs
+/// to the same application, in suite order.
+struct ValidationData {
+    /// Application names.
+    names: Vec<String>,
+    /// Reference profiles (the utilizations a prediction takes).
+    profiles: Vec<AppProfile>,
+    /// Measured power in watts at every configuration.
+    grids: Vec<BTreeMap<FreqConfig, f64>>,
+}
+
+impl ValidationData {
+    /// Scores `predict` (watts for an application's reference profile at
+    /// a configuration) against every measurement, labelled by
+    /// application, in application then configuration order.
+    fn report(&self, mut predict: impl FnMut(&AppProfile, FreqConfig) -> f64) -> AccuracyReport {
+        let mut report = AccuracyReport::new();
+        for ((name, profile), grid) in self.names.iter().zip(&self.profiles).zip(&self.grids) {
+            for (&config, &watts) in grid {
+                report.add(name.as_str(), config, predict(profile, config), watts);
+            }
+        }
+        report
+    }
+}
+
+/// Measures the validation suite on a fresh instance of `spec`'s card:
+/// seed `REPRO_SEED + 1000`, so its measurement noise is independent of
+/// the training campaign's. Profiles are taken at `reference`, which
+/// must be the reference of the model they feed (usually
+/// `spec.default_config()`).
+///
+/// # Panics
+///
+/// Panics if `reference` is off the device's grid, or on any profiling
+/// failure.
+fn collect_validation(spec: &DeviceSpec, reference: FreqConfig) -> ValidationData {
+    let mut gpu = SimulatedGpu::new(spec.clone(), REPRO_SEED + 1000);
+    let mut profiler = Profiler::new(&mut gpu);
+    profiler
+        .set_reference(reference)
+        .expect("validation reference is on the device grid");
+    let mut data = ValidationData {
+        names: Vec::new(),
+        profiles: Vec::new(),
+        grids: Vec::new(),
+    };
+    for app in validation_suite(spec) {
+        data.names.push(app.name().to_string());
+        data.profiles.push(
+            profiler
+                .profile_at_reference(&app)
+                .expect("validation profile succeeds"),
+        );
+        data.grids.push(
+            profiler
+                .measure_power_grid(&app)
+                .expect("validation grid measurement succeeds"),
+        );
+    }
+    data
+}
+
+/// Validation MAPE (%) of `model` over every application and
+/// configuration of `data`.
+///
+/// # Panics
+///
+/// Panics if `data` is empty or holds a configuration off the model's
+/// grid.
+fn validation_mape(model: &PowerModel, data: &ValidationData) -> f64 {
+    data.report(|profile, config| {
+        model
+            .predict(&profile.utilizations, config)
+            .expect("validation configurations are on the fitted grid")
+    })
+    .mape()
+    .expect("validation set is not empty")
+}
+
+/// Renders a horizontal ASCII bar of `value` against `max`, `width`
+/// characters wide.
+fn bar(value: f64, max: f64, width: usize) -> String {
+    let filled = if max > 0.0 {
+        ((value / max) * width as f64)
+            .round()
+            .clamp(0.0, width as f64) as usize
+    } else {
+        0
+    };
+    let mut s = String::with_capacity(width);
+    for i in 0..width {
+        s.push(if i < filled { '#' } else { '.' });
+    }
+    s
+}
 /// One paper GPU: fitted at [`REPRO_SEED`], with the validation suite
 /// measured on a fresh card at the default reference.
 struct PaperGpu {
@@ -1267,6 +1363,14 @@ fn summary(out: &mut String, paper: &Paper) -> fmt::Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bar_scales_and_clamps() {
+        assert_eq!(bar(0.0, 1.0, 4), "....");
+        assert_eq!(bar(0.5, 1.0, 4), "##..");
+        assert_eq!(bar(2.0, 1.0, 4), "####");
+        assert_eq!(bar(1.0, 0.0, 3), "...");
+    }
 
     #[test]
     fn table2_rows_split_into_a_label_and_three_cells() {
