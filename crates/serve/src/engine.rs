@@ -14,17 +14,16 @@
 //!   which is what makes "profile once, then hit the decision cache"
 //!   observable through [`gpm_dvfs::GovernorStats`].
 //!
-//! In front of both sits a sharded LRU keyed by
-//! `(model version, canonical request JSON)`. Lookups happen up front
-//! for the whole batch — duplicates *within* a batch intentionally miss
-//! together and meet in the governor's decision cache instead, so the
-//! governor statistics stay meaningful.
+//! In front of both sits a sharded LRU keyed by the request's typed
+//! fields ([`CacheKey`]). Lookups happen up front for the whole batch —
+//! duplicates *within* a batch intentionally miss together and meet in
+//! the governor's decision cache instead, so the governor statistics
+//! stay meaningful.
 
-use crate::cache::{CacheStats, ShardedLru};
+use crate::cache::{CacheKey, CacheStats, ObjectiveKey, ShardedLru};
 use crate::request::{Reply, Request, Response};
 use gpm_core::{PowerModel, Utilizations};
 use gpm_dvfs::{pareto_frontier, Governor, GovernorState, GovernorStats};
-use gpm_json::ToJson;
 use gpm_profiler::Profiler;
 use gpm_sim::SimulatedGpu;
 use gpm_workloads::{microbenchmark_suite, validation_suite, KernelDesc};
@@ -94,19 +93,8 @@ pub(crate) struct PureCore {
 }
 
 impl PureCore {
-    /// Cache key for `request` under this core's model version.
-    pub(crate) fn cache_key(&self, request: &Request) -> String {
-        // \u{1} cannot appear in the version label or JSON text, so the
-        // key is unambiguous.
-        format!(
-            "{}\u{1}{}",
-            self.version,
-            gpm_json::write(&request.to_json())
-        )
-    }
-
     /// Prediction-cache lookup; counts a hit, never a miss.
-    pub(crate) fn cache_get(&self, key: &str) -> Option<Response> {
+    pub(crate) fn cache_get(&self, key: &CacheKey) -> Option<Response> {
         self.cache.get(key)
     }
 
@@ -117,7 +105,7 @@ impl PureCore {
     }
 
     /// Prediction-cache fill (successes only, by convention).
-    pub(crate) fn cache_put(&self, key: String, response: Response) {
+    pub(crate) fn cache_put(&self, key: CacheKey, response: Response) {
         self.cache.put(key, response);
         gpm_obs::gauge_set("serve.cache_entries", self.cache.stats().entries as f64);
     }
@@ -222,9 +210,9 @@ pub struct PredictionEngine {
     /// The governor-facing device, mutated only by sequential
     /// [`Request::BestConfig`] processing.
     gpu: SimulatedGpu,
-    /// Governor state per objective (keyed by the objective's canonical
-    /// JSON), detached between batches via [`GovernorState`].
-    governors: HashMap<String, GovernorState>,
+    /// Governor state per objective, detached between batches via
+    /// [`GovernorState`].
+    governors: HashMap<ObjectiveKey, GovernorState>,
     batches: u64,
 }
 
@@ -236,8 +224,8 @@ enum Slot {
 
 impl PredictionEngine {
     /// Builds an engine for `model`, labelled with a `version` string
-    /// (typically [`crate::RegistryEntry::identity`]) that namespaces
-    /// the prediction cache.
+    /// (typically [`crate::RegistryEntry::identity`]). The engine owns
+    /// its prediction cache, so cached replies never cross versions.
     pub fn new(model: PowerModel, version: &str, config: &EngineConfig) -> Self {
         let spec = model.spec().clone();
         let gpu = SimulatedGpu::new(spec.clone(), config.seed);
@@ -284,7 +272,7 @@ impl PredictionEngine {
         &self.core.model
     }
 
-    /// The model-version label namespacing the cache.
+    /// The model-version label the engine was built with.
     pub fn version(&self) -> &str {
         &self.core.version
     }
@@ -332,18 +320,17 @@ impl PredictionEngine {
     /// requests sequentially in arrival order, pure requests fanned
     /// across `gpm-par` workers, replies in request order.
     pub fn process_batch(&mut self, requests: &[Request]) -> Vec<Reply> {
-        let keys = requests.iter().map(|r| self.core.cache_key(r)).collect();
+        let keys = requests.iter().map(CacheKey::of).collect();
         self.process_keyed(requests, keys)
-    }
-
-    /// Cache key for `request` under the served model version.
-    pub(crate) fn cache_key(&self, request: &Request) -> String {
-        self.core.cache_key(request)
     }
 
     /// [`PredictionEngine::process_batch`] with each request's cache key
     /// already computed (`keys[i]` belongs to `requests[i]`).
-    pub(crate) fn process_keyed(&mut self, requests: &[Request], keys: Vec<String>) -> Vec<Reply> {
+    pub(crate) fn process_keyed(
+        &mut self,
+        requests: &[Request],
+        keys: Vec<CacheKey>,
+    ) -> Vec<Reply> {
         self.core.note_requests(requests.len() as u64);
         self.batches += 1;
         gpm_obs::counter_add("serve.batches", 1);
@@ -388,14 +375,14 @@ impl PredictionEngine {
         // Stitch replies back into request order and fill the cache
         // (successes only — errors stay recomputable).
         let mut replies = Vec::with_capacity(requests.len());
-        for (i, slot) in slots.into_iter().enumerate() {
+        for (slot, key) in slots.into_iter().zip(keys) {
             let reply = match slot {
                 Slot::Done(reply) => reply,
                 Slot::Governor(j) => governor_replies.remove(&j).expect("governor reply"),
                 Slot::Pure(j) => pure_replies.get(&j).cloned().expect("pure reply"),
             };
             if let Reply::Ok(response) = &reply {
-                self.core.cache_put(keys[i].clone(), response.clone());
+                self.core.cache_put(key, response.clone());
             }
             if matches!(reply, Reply::Error { .. }) {
                 self.core.note_error();
@@ -412,7 +399,7 @@ impl PredictionEngine {
         let Some(kernel) = self.core.kernels.get(kernel) else {
             return unknown_kernel(kernel);
         };
-        let objective_key = gpm_json::write(&objective.to_json());
+        let objective_key = ObjectiveKey::of(objective);
         let state = self.governors.remove(&objective_key).unwrap_or_default();
         let mut governor =
             Governor::resume(&mut self.gpu, self.core.model.clone(), *objective, state);

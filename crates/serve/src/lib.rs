@@ -14,7 +14,7 @@
 //! - [`PredictionEngine`] — typed requests ([`Request`]: power at a
 //!   configuration, energy for a kernel, best configuration under an
 //!   [`gpm_dvfs::Objective`], Pareto frontier slice), a sharded LRU
-//!   prediction cache keyed by `(model version, request)`, and
+//!   prediction cache keyed by the request's typed fields, and
 //!   micro-batch execution that fans pure work across `gpm-par` workers.
 //!   Results are bit-identical to direct `Estimator`/`Governor` calls at
 //!   any worker-thread count: pure requests run on clones of a pristine
@@ -75,7 +75,7 @@ pub mod sys;
 #[doc(hidden)]
 pub mod test_support;
 
-pub use cache::{CacheStats, ShardedLru};
+pub use cache::CacheStats;
 pub use engine::{EngineConfig, EngineStats, PredictionEngine};
 pub use registry::{
     EntryHealth, FsckEntry, FsckReport, ModelInfo, ModelRegistry, RecoveryReport, RegistryEntry,

@@ -14,12 +14,14 @@ use std::io::{self, Read, Write};
 /// corrupt or hostile length prefix.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
-/// Writes one frame (length prefix + payload).
+/// Appends one frame (length prefix + payload) to `wire`, so that
+/// several frames can leave in one write.
 ///
 /// # Errors
 ///
-/// Fails when the payload exceeds [`MAX_FRAME_LEN`] or on I/O error.
-pub fn write_frame(writer: &mut impl Write, payload: &str) -> io::Result<()> {
+/// Fails when the payload exceeds [`MAX_FRAME_LEN`]; `wire` is then
+/// left as it was.
+pub(crate) fn push_frame(wire: &mut Vec<u8>, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -27,8 +29,20 @@ pub fn write_frame(writer: &mut impl Write, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds {MAX_FRAME_LEN}", bytes.len()),
         ));
     }
-    writer.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    writer.write_all(bytes)?;
+    wire.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    wire.extend_from_slice(bytes);
+    Ok(())
+}
+
+/// Writes one frame (length prefix + payload) in one write.
+///
+/// # Errors
+///
+/// Fails when the payload exceeds [`MAX_FRAME_LEN`] or on I/O error.
+pub fn write_frame(writer: &mut impl Write, payload: &str) -> io::Result<()> {
+    let mut wire = Vec::with_capacity(4 + payload.len());
+    push_frame(&mut wire, payload)?;
+    writer.write_all(&wire)?;
     writer.flush()
 }
 
@@ -200,6 +214,29 @@ mod tests {
         assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some("third"));
         assert_eq!(read_frame(&mut reader).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        /// Accepts every byte and counts the calls.
+        struct Counting(Vec<u8>, usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                self.1 += 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Counting(Vec::new(), 0);
+        write_frame(&mut sink, "payload").unwrap();
+        assert_eq!(sink.1, 1, "prefix and payload share one write");
+        assert_eq!(
+            read_frame(&mut sink.0.as_slice()).unwrap().as_deref(),
+            Some("payload")
+        );
     }
 
     #[test]

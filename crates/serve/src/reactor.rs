@@ -24,6 +24,12 @@
 //!   requests still funnel through the single engine thread (the
 //!   determinism contract requires sequential profiling), via
 //!   `Shared::submit` with replies returned over a per-shard channel.
+//! - **One write per connection per sweep** — a completed reply is only
+//!   appended to its connection's buffer, and the connection marked;
+//!   the loop writes each marked connection once, after the sweep's
+//!   events and flush (and before a drain's idle check). Replies that
+//!   complete together — a pipelined batch of cache hits, a flushed
+//!   micro-batch — leave in one `write(2)`.
 //! - **Graceful drain** — when `Shared` stops running (shutdown or
 //!   `max_requests`), each shard deregisters the listener, flushes its
 //!   pending batch, waits for outstanding governor replies and for every
@@ -35,6 +41,7 @@
 //! cannot leak into bytes) and cache hits return previously computed
 //! `Response` values verbatim.
 
+use crate::cache::CacheKey;
 use crate::engine::PureCore;
 use crate::proto::{self, FrameDecoder};
 use crate::request::Reply;
@@ -95,6 +102,8 @@ struct Conn {
     wpos: usize,
     /// Admitted requests whose replies are not yet in `wbuf`.
     inflight: usize,
+    /// Listed in [`Shard::marked`]: `wbuf` gained bytes this sweep.
+    marked: bool,
     writable_interest: bool,
     read_closed: bool,
     /// Last instant bytes arrived from the peer (or the connection was
@@ -110,6 +119,7 @@ impl Conn {
             wbuf: Vec::new(),
             wpos: 0,
             inflight: 0,
+            marked: false,
             writable_interest: false,
             read_closed: false,
             last_activity: Instant::now(),
@@ -126,7 +136,7 @@ struct PendingReq {
     id: u64,
     request: crate::request::Request,
     /// Cache key, computed once at admission.
-    key: String,
+    key: CacheKey,
     /// Absolute expiry instant from [`ShardConfig::deadline`].
     deadline: Option<Instant>,
 }
@@ -147,6 +157,10 @@ struct Shard {
     waker: UnixStream,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    /// Connections with reply bytes appended since the last write pass.
+    marked: Vec<u64>,
+    /// Reply `write` calls made, published to `Shared` at exit.
+    writes: u64,
     /// The coalescing batch of admitted pure requests.
     pending: Vec<PendingReq>,
     pending_since: Instant,
@@ -180,7 +194,7 @@ pub(crate) fn run_shard(
         .register(listener.as_raw_fd(), TOK_LISTENER, false)
         .is_ok();
     let (gov_tx, gov_rx) = mpsc::channel();
-    let shard = Shard {
+    let mut shard = Shard {
         cfg,
         core,
         shared,
@@ -190,6 +204,8 @@ pub(crate) fn run_shard(
         waker,
         conns: HashMap::new(),
         next_token: TOK_BASE,
+        marked: Vec::new(),
+        writes: 0,
         pending: Vec::new(),
         pending_since: Instant::now(),
         gov_tx,
@@ -198,10 +214,11 @@ pub(crate) fn run_shard(
         gov_seq: 0,
     };
     shard.run();
+    shard.shared.note_writes(shard.writes);
 }
 
 impl Shard {
-    fn run(mut self) {
+    fn run(&mut self) {
         let mut events: Vec<PollEvent> = Vec::new();
         let mut draining = false;
         let mut drain_deadline = Instant::now();
@@ -221,6 +238,7 @@ impl Shard {
             }
             if draining {
                 self.drain_gov();
+                self.write_marked();
                 let idle = self.gov_pending.is_empty()
                     && self.pending.is_empty()
                     && self.conns.values().all(|c| c.unflushed() == 0);
@@ -232,15 +250,18 @@ impl Shard {
                 // Engine-thread replies arrive on a channel, not an fd:
                 // poll briefly so they are picked up promptly.
                 Some(Duration::from_millis(1))
-            } else if self.pending.is_empty() {
-                None // fully idle: the waker interrupts shutdown
             } else {
-                Some(
-                    self.cfg
-                        .coalesce
-                        .saturating_sub(self.pending_since.elapsed()),
-                )
+                None // fully idle: the waker interrupts shutdown
             };
+            // The coalescing batch flushes when its window expires,
+            // whether or not engine-thread replies are outstanding.
+            if !self.pending.is_empty() {
+                let until = self
+                    .cfg
+                    .coalesce
+                    .saturating_sub(self.pending_since.elapsed());
+                timeout = Some(timeout.map_or(until, |t| t.min(until)));
+            }
             // Idle reaping needs a wake-up no later than the earliest
             // connection's expiry, even when nothing else is pending.
             if let Some(idle) = self.cfg.idle_timeout {
@@ -284,6 +305,7 @@ impl Shard {
             {
                 self.flush();
             }
+            self.write_marked();
         }
     }
 
@@ -436,7 +458,7 @@ impl Shard {
         // Cache fast path, any request kind: a hit is served on the
         // spot, bypassing both the batch and the engine thread. A miss
         // is counted where the request is computed, not here.
-        let key = self.core.cache_key(&request);
+        let key = CacheKey::of(&request);
         if let Some(response) = self.core.cache_get(&key) {
             self.core.note_requests(1);
             self.shared.note_served(1, 0);
@@ -559,7 +581,8 @@ impl Shard {
         }
     }
 
-    /// Enqueues one reply frame and pushes bytes toward the socket.
+    /// Appends one reply frame to its connection's buffer and marks the
+    /// connection for the sweep's write pass ([`Shard::write_marked`]).
     /// `admitted` replies release one in-flight slot.
     fn complete(&mut self, token: u64, id: u64, reply: Reply, admitted: bool) {
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -576,7 +599,24 @@ impl Shard {
         conn.wbuf
             .extend_from_slice(&(payload.len() as u32).to_be_bytes());
         conn.wbuf.extend_from_slice(payload.as_bytes());
-        self.write_ready(token);
+        if !conn.marked {
+            conn.marked = true;
+            self.marked.push(token);
+        }
+    }
+
+    /// Writes each marked connection once, however many replies it
+    /// gained since the last pass.
+    fn write_marked(&mut self) {
+        let mut marked = std::mem::take(&mut self.marked);
+        for &token in &marked {
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.marked = false;
+                self.write_ready(token);
+            }
+        }
+        marked.clear();
+        self.marked = marked;
     }
 
     /// Pushes buffered reply bytes; manages write interest; drops the
@@ -585,7 +625,7 @@ impl Shard {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let drop_it = match flush_writes(conn) {
+        let drop_it = match flush_writes(conn, &mut self.writes) {
             Ok(true) => {
                 if conn.writable_interest {
                     conn.writable_interest = false;
@@ -623,9 +663,11 @@ impl Shard {
 }
 
 /// Writes as much of the connection's buffered output as the kernel
-/// will take. `Ok(true)` means fully drained.
-fn flush_writes(conn: &mut Conn) -> io::Result<bool> {
+/// will take, counting each `write` call in `writes`. `Ok(true)` means
+/// fully drained.
+fn flush_writes(conn: &mut Conn, writes: &mut u64) -> io::Result<bool> {
     while conn.wpos < conn.wbuf.len() {
+        *writes += 1;
         match conn.stream.write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => conn.wpos += n,

@@ -79,8 +79,7 @@ impl_json!(struct RegistryEntry {
 });
 
 impl RegistryEntry {
-    /// The `name@vN` identity string used as the engine's model version
-    /// (and therefore as the prediction-cache key prefix).
+    /// The `name@vN` identity string used as the engine's model version.
     pub fn identity(&self) -> String {
         format!("{}@v{}", self.name, self.version)
     }

@@ -27,13 +27,14 @@
 //! length-prefixed JSON protocol in [`crate::proto`]; ids are echoed,
 //! so it can pipeline.
 
+use crate::cache::CacheKey;
 use crate::engine::PredictionEngine;
 use crate::proto;
 #[cfg(unix)]
 use crate::reactor;
 use crate::request::{Reply, Request};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -104,6 +105,10 @@ pub struct ServeStats {
     pub shed: u64,
     /// Micro-batches processed (engine batches + reactor flushes).
     pub batches: u64,
+    /// Reply `write` calls the reactor shards made. A shard writes each
+    /// connection at most once per poll sweep, so replies that complete
+    /// in one sweep (a pipelined batch of cache hits, say) share a call.
+    pub writes: u64,
 }
 
 struct Job {
@@ -111,7 +116,7 @@ struct Job {
     request: Request,
     /// Cache key, when the reactor shard that admitted the request has
     /// already computed it; the engine thread computes the rest.
-    key: Option<String>,
+    key: Option<CacheKey>,
     tx: mpsc::Sender<(u64, Reply)>,
     /// Absolute expiry instant, set at admission from
     /// [`ServerConfig::request_deadline_ms`] (`None` = no deadline).
@@ -134,6 +139,7 @@ pub(crate) struct Shared {
     shed: AtomicU64,
     served: AtomicU64,
     batches: AtomicU64,
+    writes: AtomicU64,
     max_requests: Option<u64>,
     /// Per-request deadline budget ([`ServerConfig::request_deadline_ms`]).
     deadline: Option<Duration>,
@@ -150,7 +156,7 @@ impl Shared {
         &self,
         id: u64,
         request: Request,
-        key: Option<String>,
+        key: Option<CacheKey>,
         tx: mpsc::Sender<(u64, Reply)>,
     ) -> Option<Reply> {
         if !self.running.load(Ordering::SeqCst) {
@@ -211,6 +217,11 @@ impl Shared {
         if self.max_requests.is_some_and(|max| total >= max) {
             self.close();
         }
+    }
+
+    /// Counts reply `write` calls made by a reactor shard.
+    pub(crate) fn note_writes(&self, n: u64) {
+        self.writes.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Stops admission; the engine and the shards drain what was
@@ -328,6 +339,7 @@ impl ServerHandle {
             shed: AtomicU64::new(0),
             served: AtomicU64::new(0),
             batches: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
             max_requests: config.max_requests,
             deadline: (config.request_deadline_ms > 0)
                 .then(|| Duration::from_millis(config.request_deadline_ms)),
@@ -371,9 +383,9 @@ impl ServerHandle {
                 }
                 if !live.is_empty() {
                     let requests: Vec<Request> = live.iter().map(|j| j.request.clone()).collect();
-                    let keys: Vec<String> = live
+                    let keys: Vec<CacheKey> = live
                         .iter_mut()
-                        .map(|j| j.key.take().unwrap_or_else(|| engine.cache_key(&j.request)))
+                        .map(|j| j.key.take().unwrap_or_else(|| CacheKey::of(&j.request)))
                         .collect();
                     let started = std::time::Instant::now();
                     let replies = engine.process_keyed(&requests, keys);
@@ -451,6 +463,7 @@ impl ServerHandle {
             served: self.shared.served.load(Ordering::SeqCst),
             shed: self.shared.shed.load(Ordering::SeqCst),
             batches: self.shared.batches.load(Ordering::SeqCst),
+            writes: self.shared.writes.load(Ordering::Relaxed),
         };
         (engine, stats)
     }
@@ -672,18 +685,22 @@ impl TcpClient {
         self.recv_id(id)
     }
 
-    /// Writes every request before reading any reply (pipelining), then
-    /// returns replies in request order.
+    /// Writes every request in one write before reading any reply
+    /// (pipelining), then returns replies in request order.
     ///
     /// # Errors
     ///
     /// Propagates socket and framing failures.
     pub fn pipeline(&mut self, requests: &[Request]) -> io::Result<Vec<Reply>> {
-        let ids: Vec<u64> = requests
-            .iter()
-            .map(|r| self.send(r))
-            .collect::<io::Result<_>>()?;
-        ids.into_iter().map(|id| self.recv_id(id)).collect()
+        let first = self.next_id;
+        let mut wire = Vec::new();
+        for request in requests {
+            let id = self.next_id;
+            self.next_id += 1;
+            proto::push_frame(&mut wire, &proto::encode_request(id, request))?;
+        }
+        self.stream.write_all(&wire)?;
+        (first..self.next_id).map(|id| self.recv_id(id)).collect()
     }
 }
 

@@ -471,3 +471,45 @@ fn frame_decoder_survives_arbitrary_splits_and_garbage() {
         }
     });
 }
+
+/// The JSON string contract: text holding quotes, backslashes, control
+/// characters and multibyte characters comes back unchanged through
+/// `write` → `parse`, as a value and as an object key, whether the
+/// special characters open, close or sit inside the string.
+#[test]
+fn json_strings_round_trip_through_write_and_parse() {
+    use gpm::json::{parse, write, Json};
+    const CHARS: [char; 16] = [
+        'a',
+        'Z',
+        '7',
+        ' ',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\t',
+        '\u{1}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        '€',
+        '\u{1F600}',
+        'u',
+    ];
+    gpm_check::check("json_strings_round_trip_through_write_and_parse", |g| {
+        let mut text = || -> String {
+            let len = g.usize_in(0..40);
+            (0..len).map(|_| *g.choose(&CHARS)).collect()
+        };
+        let value = Json::Obj(vec![
+            (text(), Json::Str(text())),
+            (
+                text(),
+                Json::Arr(vec![Json::Str(text()), Json::Num(1.5), Json::Str(text())]),
+            ),
+        ]);
+        let written = write(&value);
+        assert_eq!(parse(&written).unwrap(), value, "{written}");
+    });
+}

@@ -116,6 +116,45 @@ fn tcp_replies_match_the_direct_engine_at_any_shard_count() {
     }
 }
 
+/// Replies that complete in one poll sweep leave in one write: a
+/// pipelined batch of cache hits costs at most two reply `write` calls
+/// instead of one per reply, and the replies still match the direct
+/// engine byte for byte.
+#[test]
+fn pipelined_cache_hits_leave_in_at_most_two_writes() {
+    const N: usize = 12;
+    let batch: Vec<Request> = fitted_model().spec().vf_grid()[..N]
+        .iter()
+        .map(|&config| Request::Power {
+            utilizations: utils(),
+            config,
+        })
+        .collect();
+    let oracle = serialize(&engine().process_batch(&batch));
+
+    // Fill the served engine's cache in-process, so that every request
+    // on the wire is a hit answered at admission.
+    let mut served = engine();
+    served.process_batch(&batch);
+    let config = ServerConfig {
+        shards: 1,
+        ..ServerConfig::default()
+    };
+    let handle = ServerHandle::bind(served, config, "127.0.0.1:0").unwrap();
+    let mut client = TcpClient::connect(handle.local_addr().unwrap()).unwrap();
+    let replies = client.pipeline(&batch).unwrap();
+    assert_eq!(serialize(&replies), oracle);
+    drop(client);
+    let (served, stats) = handle.shutdown();
+    assert_eq!(stats.served, N as u64);
+    assert_eq!(served.stats().cache.hits, N as u64, "every request hit");
+    assert!(
+        stats.writes <= 2,
+        "{N} pipelined hits took {} writes",
+        stats.writes
+    );
+}
+
 /// Cache accounting over TCP counts each request once: a hit when a
 /// lookup answers it, a miss only where it is computed. The reactor
 /// looks a request up at admission and again before computing it (and
